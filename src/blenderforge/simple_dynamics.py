@@ -381,10 +381,6 @@ def exclusion_sets(
 # Brute two-pair scan
 # ---------------------------------------------------------------------------
 
-def _label(v: int | None) -> int | None:
-    return v
-
-
 class _SfTables:
     """x(k, K) = base_x[k] + slope_x[k]*K, y(m, C) = base_y[m] + slope_y[m]*C.
 
@@ -395,14 +391,14 @@ class _SfTables:
     def __init__(self, spec: CycleSpec, q: int, p: int, k_max: int, m_max: int,
                  angle_convention: str):
         pack = _sf_pack(spec, q, p, angle_convention)
-        a, xp = pack["a"], pack["x_plus"]
+        a = pack["a"]
         ks = np.arange(1, k_max + 1)
         ms = np.arange(1, m_max + 1)
-        del xp  # a_r * x+_r = B*sin(.+eta2)/b is finite even where a_r = 0
         lam_pows = spec.lam ** ks.astype(float)
         gam_pows = np.asarray(spec.gamma, dtype=float) ** (-ms.astype(float))
         ar = a[ks % q]
         s2 = pack["s2"][ks % q]
+        # a_r * x+_r = B*sin(.+eta2)/b is finite even where a_r = 0
         base_x = lam_pows * s2 * spec.B_coef / spec.b_coef
         slope_x = lam_pows * ar * spec.delta
         self.base_x = np.concatenate((base_x, [0.0]))
@@ -484,21 +480,16 @@ class _DfTables:
         return u, v
 
     def intervals(self):
-        nk, nm = len(self.k_labels), len(self.m_labels)
-        p_lo = np.empty((nk, nm))
-        p_hi = np.empty((nk, nm))
-        scale = np.empty((nk, nm))
-        for ik in range(nk):
-            u_lo, v_lo = self._uv(ik, np.arange(nm), -1.0, -1.0)
-            u_hi, v_hi = self._uv(ik, np.arange(nm), 1.0, 1.0)
-            lo = np.minimum(u_lo, u_hi) + np.minimum(v_lo, v_hi)
-            hi = np.maximum(u_lo, u_hi) + np.maximum(v_lo, v_hi)
-            p_lo[ik] = lo
-            p_hi[ik] = hi
-            scale[ik] = np.maximum(
-                np.maximum(np.abs(u_lo), np.abs(u_hi)),
-                np.maximum(np.abs(v_lo), np.abs(v_hi)),
-            )
+        ik = np.arange(len(self.k_labels))[:, None]
+        im = np.arange(len(self.m_labels))
+        u_lo, v_lo = self._uv(ik, im, -1.0, -1.0)
+        u_hi, v_hi = self._uv(ik, im, 1.0, 1.0)
+        p_lo = np.minimum(u_lo, u_hi) + np.minimum(v_lo, v_hi)
+        p_hi = np.maximum(u_lo, u_hi) + np.maximum(v_lo, v_hi)
+        scale = np.maximum(
+            np.maximum(np.abs(u_lo), np.abs(u_hi)),
+            np.maximum(np.abs(v_lo), np.abs(v_hi)),
+        )
         bad = ~(np.isfinite(p_lo) & np.isfinite(p_hi))
         p_lo[bad] = np.inf   # excluded from overlaps
         p_hi[bad] = -np.inf
@@ -531,66 +522,149 @@ class _DfTables:
         return abs(float(v1 - v2)), abs(float(u1 - u2)), scale
 
 
-def _prefilter_tuples(
-    x_iv, y_iv, tol: float, distinct_only: bool
-) -> list[tuple[int, int, int, int]]:
-    """(k1, k2, m1, m2) whose interval gap can reach tol * scale.
+#: index pairs the interval join hands over per block; a loose tolerance
+#: lets most of the n^4 tuples through, and blocks keep memory bounded
+#: until INDEX_CAP survivors stop the scan
+JOIN_BLOCK = 1 << 14
+#: widening beyond the tolerance, relative to the scale, so that rounding
+#: in the exact gap test never passes a pair the join missed
+_JOIN_SLACK = 64 * np.finfo(float).eps
+
+
+def _widen(lo, hi, scale, tol: float):
+    """[lo, hi] widened by its own tolerance share tol * max(scale, SCALE_FLOOR)
+    plus the rounding slack.
+
+    The gap test grants a pair the larger of its two shares, never more than
+    their sum, so the widened overlaps are a superset of the pairs it passes.
+    The slack covers the test's rounding where |lo| and |hi| are at most
+    about twice the scale, as for the term and P intervals.
+    """
+    pad = (tol + _JOIN_SLACK) * np.maximum(scale, SCALE_FLOOR)
+    return lo - pad, hi + pad
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The aranges [starts[i], starts[i] + counts[i]) concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+def _overlap_blocks(a_lo, a_hi, b_lo, b_hi) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every (i, j) whose closed intervals [a_lo[i], a_hi[i]] and
+    [b_lo[j], b_hi[j]] overlap (all finite, lo <= hi), as index arrays in
+    blocks over runs of consecutive i: a block holds at most JOIN_BLOCK
+    pairs, or the pairs of a single i.
+
+    A pair overlaps iff b_lo[j] lies in [a_lo[i], a_hi[i]], or a_lo[i] lies
+    in (b_lo[j], b_hi[j]]; the two cases are disjoint.  Each case is a run of
+    the other side sorted by lower end, found by searchsorted, so the join
+    costs O(n log n) plus the pairs it returns.
+    """
+    b_order = np.argsort(b_lo, kind="stable")
+    b_lo_sorted = b_lo[b_order]
+    first = np.searchsorted(b_lo_sorted, a_lo, "left")
+    n_inside = np.searchsorted(b_lo_sorted, a_hi, "right") - first
+    # b with b_lo < a_lo, less those that also end before a_lo
+    n_around = first - np.searchsorted(np.sort(b_hi), a_lo, "left")
+    ends = np.cumsum(n_inside + n_around)
+    b_all = np.arange(len(b_lo))
+    i0 = 0
+    while i0 < len(a_lo):
+        done = int(ends[i0 - 1]) if i0 else 0
+        i1 = max(int(np.searchsorted(ends, done + JOIN_BLOCK, "right")), i0 + 1)
+        counts = n_inside[i0:i1]
+        i_inside = np.repeat(np.arange(i0, i1), counts)
+        j_inside = b_order[_ranges(first[i0:i1], counts)]
+        a_order = np.argsort(a_lo[i0:i1], kind="stable")
+        a_lo_sorted = a_lo[i0:i1][a_order]
+        starts = np.searchsorted(a_lo_sorted, b_lo, "right")
+        counts = np.searchsorted(a_lo_sorted, b_hi, "right") - starts
+        i_around = i0 + a_order[_ranges(starts, counts)]
+        j_around = np.repeat(b_all, counts)
+        yield np.concatenate((i_inside, i_around)), np.concatenate((j_inside, j_around))
+        i0 = i1
+
+
+def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over 0 <= i, j < n with i != j, in lexicographic order."""
+    i, j = np.divmod(np.arange(n * n), n)
+    keep = i != j
+    return i[keep], j[keep]
+
+
+def _prefilter_tuples(x_iv, y_iv, tol: float) -> list[tuple[int, int, int, int]]:
+    """(k1, k2, m1, m2) with k1 != k2 and m1 != m2 whose interval gap can
+    reach tol * scale, in lexicographic order; stops once more than
+    INDEX_CAP are found.
 
     Works on separable term intervals: Dx in [x1] - [x2], Dy in [y1] - [y2].
+    The n^2 Dx intervals over (k1, k2) are joined with the n^2 Dy intervals
+    over (m1, m2), both widened by `_widen`; the gap test then selects the
+    survivors among the joined pairs.
     """
+    if not tol >= 0:    # the gap test passes nothing
+        return []
     (x_lo, x_hi, xs), (y_lo, y_hi, ys) = x_iv, y_iv
-    nk, nm = len(x_lo), len(y_lo)
+    k1, k2 = _off_diagonal(len(x_lo))
+    m1, m2 = _off_diagonal(len(y_lo))
+    dx_lo, dx_hi = x_lo[k1] - x_hi[k2], x_hi[k1] - x_lo[k2]
+    dy_lo, dy_hi = y_lo[m1] - y_hi[m2], y_hi[m1] - y_lo[m2]
+    sx = np.maximum(xs[k1], xs[k2])
+    sy = np.maximum(ys[m1], ys[m2])
     out: list[tuple[int, int, int, int]] = []
-    for k1 in range(nk):
-        dx_lo = x_lo[k1] - x_hi            # over k2
-        dx_hi = x_hi[k1] - x_lo
-        sx = np.maximum(xs[k1], xs)
-        # Dy tensors over (m1, m2)
-        dy_lo = y_lo[:, None] - y_hi[None, :]
-        dy_hi = y_hi[:, None] - y_lo[None, :]
-        sy = np.maximum(ys[:, None], ys[None, :])
-        for k2 in range(nk):
-            if distinct_only and k1 == k2:
-                continue
-            gap = np.maximum(
-                0.0,
-                np.maximum(dx_lo[k2] - dy_hi, dy_lo - dx_hi[k2]),
-            )
-            scale = np.maximum(sx[k2], sy)
-            hits = np.argwhere(gap <= tol * np.maximum(scale, SCALE_FLOOR))
-            for m1, m2 in hits:
-                if distinct_only and m1 == m2:
-                    continue
-                out.append((k1, k2, int(m1), int(m2)))
-                if len(out) > INDEX_CAP:
-                    return out
+    blocks = _overlap_blocks(*_widen(dx_lo, dx_hi, sx, tol), *_widen(dy_lo, dy_hi, sy, tol))
+    for i, j in blocks:
+        gap = np.maximum(0.0, np.maximum(dx_lo[i] - dy_hi[j], dy_lo[j] - dx_hi[i]))
+        scale = np.maximum(sx[i], sy[j])
+        hit = gap <= tol * np.maximum(scale, SCALE_FLOOR)
+        order = np.lexsort((j[hit], i[hit]))[:INDEX_CAP + 1 - len(out)]
+        i, j = i[hit][order], j[hit][order]
+        out.extend(zip(k1[i].tolist(), k2[i].tolist(), m1[j].tolist(), m2[j].tolist()))
+        if len(out) > INDEX_CAP:
+            break
     return out
 
 
 def _prefilter_tuples_df(p_lo, p_hi, scale, tol: float) -> list[tuple[int, int, int, int]]:
-    """Doubly-distinct (k1, k2, m1, m2) with overlapping P-intervals (DF)."""
-    nk, nm = p_lo.shape
+    """Doubly-distinct (k1, k2, m1, m2) with overlapping P-intervals (DF),
+    (k1, m1) before (k2, m2), ordered by (k1, m1, k2, m2); stops once more
+    than INDEX_CAP are found.
+
+    A self-join of the finite P-intervals widened by `_widen`; the gap test
+    then selects the survivors among the joined pairs.  Entries marked bad
+    by `_DfTables.intervals` (non-finite ends) overlap nothing.
+    """
+    if not tol >= 0:    # the gap test passes nothing
+        return []
+    nm = p_lo.shape[1]
+    flat = np.flatnonzero(np.isfinite(p_lo) & np.isfinite(p_hi))
+    lo, hi, sc = p_lo.ravel()[flat], p_hi.ravel()[flat], scale.ravel()[flat]
+    w_lo, w_hi = _widen(lo, hi, sc, tol)
     out: list[tuple[int, int, int, int]] = []
-    for k1 in range(nk):
-        for m1 in range(nm):
-            lo1, hi1, s1 = p_lo[k1, m1], p_hi[k1, m1], scale[k1, m1]
-            if not math.isfinite(lo1):
-                continue
-            gap = np.maximum(0.0, np.maximum(lo1 - p_hi, p_lo - hi1))
-            sc = np.maximum(s1, scale)
-            mask = gap <= tol * np.maximum(sc, SCALE_FLOOR)
-            mask[k1, :] = False   # k-sharing handled separately
-            mask[:, m1] = False
-            for k2, m2 in np.argwhere(mask):
-                if (k2, m2) > (k1, m1):
-                    out.append((k1, int(k2), m1, int(m2)))
-                    if len(out) > INDEX_CAP:
-                        return out
+    for i, j in _overlap_blocks(w_lo, w_hi, w_lo, w_hi):
+        # the join yields both orders of each pair, and index-sharing pairs
+        # (mostly shared m) outnumber the rest, so drop those first
+        later = j > i
+        i, j = i[later], j[later]
+        k1, m1 = np.divmod(flat[i], nm)
+        k2, m2 = np.divmod(flat[j], nm)
+        distinct = (k1 != k2) & (m1 != m2)
+        i, j, k1, k2, m1, m2 = (v[distinct] for v in (i, j, k1, k2, m1, m2))
+        gap = np.maximum(0.0, np.maximum(lo[i] - hi[j], lo[j] - hi[i]))
+        sc_pair = np.maximum(sc[i], sc[j])
+        hit = gap <= tol * np.maximum(sc_pair, SCALE_FLOOR)
+        order = np.lexsort((j[hit], i[hit]))[:INDEX_CAP + 1 - len(out)]
+        k1, k2, m1, m2 = (v[hit][order] for v in (k1, k2, m1, m2))
+        out.extend(zip(k1.tolist(), k2.tolist(), m1.tolist(), m2.tolist()))
+        if len(out) > INDEX_CAP:
+            break
     return out
 
 
-def _sharing_witnesses_sf(tables: _SfTables, grid: np.ndarray, tol: float,
-                          spec: CycleSpec) -> list[dict[str, Any]]:
+def _sharing_witnesses_sf(tables: _SfTables, grid: np.ndarray,
+                          tol: float) -> list[dict[str, Any]]:
     """Exact witnesses of the index-sharing solution families.
 
     m-sharing: both visits spend the same m turns and the k-terms are below
@@ -624,8 +698,8 @@ def _sharing_witnesses_sf(tables: _SfTables, grid: np.ndarray, tol: float,
 
 def _solution(tables, ik1, im1, ik2, im2, res, gp) -> dict[str, Any]:
     return {
-        "pair1": [_label(tables.k_labels[ik1]), _label(tables.m_labels[im1])],
-        "pair2": [_label(tables.k_labels[ik2]), _label(tables.m_labels[im2])],
+        "pair1": [tables.k_labels[ik1], tables.m_labels[im1]],
+        "pair2": [tables.k_labels[ik2], tables.m_labels[im2]],
         "residual": res,
         "grid_point": list(gp),
     }
@@ -642,8 +716,12 @@ def brute_scan(
     """Exhaustive two-pair scan over k, m <= ranges plus infinite indices.
 
     Enumerates index 4-tuples through an interval prefilter (sound: the
-    grid residual cannot beat the interval gap), exactly minimizes the
-    normalized residual over the (K, C) grid on survivors, and classifies:
+    grid residual cannot beat the interval gap).  The prefilter sorts the
+    n^2 index-pair intervals by lower end and joins them by searchsorted
+    (Dx against Dy for the saddle focus, P against itself for the double
+    focus), so it costs O(n^2 log n + candidates), not O(n^4).  It then
+    exactly minimizes the normalized residual over the (K, C) grid on the
+    first INDEX_CAP survivors, and classifies:
     a solution is a violation only when both its k-part and m-part
     differences are active above the tolerance at the solution's scale;
     otherwise it belongs to an index-sharing family (constrained).
@@ -667,9 +745,8 @@ def brute_scan(
 
     if spec.is_saddle_focus:
         tables: Any = _SfTables(spec, q1, p1, k_max, m_max, angle_convention)
-        solutions.extend(_sharing_witnesses_sf(tables, grid_vals, tol, spec))
-        x_iv, y_iv = tables.intervals()
-        tuples = _prefilter_tuples(x_iv, y_iv, tol, distinct_only=True)
+        solutions.extend(_sharing_witnesses_sf(tables, grid_vals, tol))
+        tuples = _prefilter_tuples(*tables.intervals(), tol)
     else:
         f2 = moduli.rational("omega2")
         q2, p2 = f2.denominator, f2.numerator

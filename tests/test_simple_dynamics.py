@@ -3,12 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import blenderforge as bf
+from blenderforge import simple_dynamics as sd
 from blenderforge.simple_dynamics import (
+    SCALE_FLOOR,
     TruncationRanges,
     _df_pack,
+    _DfTables,
     _distance_to_family,
+    _prefilter_tuples,
+    _prefilter_tuples_df,
     _sf_pack,
     _SfTables,
     exclusion_elements,
@@ -326,3 +333,197 @@ def test_simple_verdict_conjunction():
         scan=scan,
     )
     assert bf.simple_verdict(doctored) == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# scan prefilters against the loop versions they replace
+# ---------------------------------------------------------------------------
+
+def loop_prefilter_sf(x_iv, y_iv, tol):
+    """Reference: the O(n^4) loop over (k1, k2) with a dense (m1, m2) gap
+    tensor per pair."""
+    (x_lo, x_hi, xs), (y_lo, y_hi, ys) = x_iv, y_iv
+    nk = len(x_lo)
+    out = []
+    for k1 in range(nk):
+        dx_lo = x_lo[k1] - x_hi
+        dx_hi = x_hi[k1] - x_lo
+        sx = np.maximum(xs[k1], xs)
+        dy_lo = y_lo[:, None] - y_hi[None, :]
+        dy_hi = y_hi[:, None] - y_lo[None, :]
+        sy = np.maximum(ys[:, None], ys[None, :])
+        for k2 in range(nk):
+            if k1 == k2:
+                continue
+            gap = np.maximum(0.0, np.maximum(dx_lo[k2] - dy_hi, dy_lo - dx_hi[k2]))
+            scale = np.maximum(sx[k2], sy)
+            for m1, m2 in np.argwhere(gap <= tol * np.maximum(scale, SCALE_FLOOR)):
+                if m1 == m2:
+                    continue
+                out.append((k1, k2, int(m1), int(m2)))
+                if len(out) > sd.INDEX_CAP:
+                    return out
+    return out
+
+
+def loop_prefilter_df(p_lo, p_hi, scale, tol):
+    """Reference: the loop over (k1, m1) against the whole (k2, m2) table."""
+    nk, nm = p_lo.shape
+    out = []
+    for k1 in range(nk):
+        for m1 in range(nm):
+            lo1, hi1, s1 = p_lo[k1, m1], p_hi[k1, m1], scale[k1, m1]
+            if not math.isfinite(lo1):
+                continue
+            gap = np.maximum(0.0, np.maximum(lo1 - p_hi, p_lo - hi1))
+            sc = np.maximum(s1, scale)
+            mask = gap <= tol * np.maximum(sc, SCALE_FLOOR)
+            mask[k1, :] = False
+            mask[:, m1] = False
+            for k2, m2 in np.argwhere(mask):
+                if (k2, m2) > (k1, m1):
+                    out.append((k1, int(k2), m1, int(m2)))
+                    if len(out) > sd.INDEX_CAP:
+                        return out
+    return out
+
+
+#: gap == tol * scale exactly is common on the integer grid
+TOLS = st.sampled_from([0.0, 1e-6, 0.25, 0.5, 1.0])
+#: 1 keeps endpoints exact; 0.1 and 1e-3 make them round
+UNITS = st.sampled_from([1.0, 0.1, 1e-3])
+
+
+def grid_ints(n, lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=float))
+
+
+@st.composite
+def term_intervals(draw):
+    """Term intervals as `_SfTables.intervals` gives them: repeated
+    endpoints, zero widths, and optionally the infinite-index slot last
+    ([0, 0], scale 0)."""
+    n = draw(st.integers(1, 6))
+    lo = draw(grid_ints(n, -4, 4))
+    hi = lo + draw(grid_ints(n, 0, 3))
+    scale = np.maximum(np.abs(lo), np.abs(hi)) + draw(grid_ints(n, 0, 2))
+    unit = draw(UNITS)
+    lo, hi, scale = lo * unit, hi * unit, scale * unit
+    if draw(st.booleans()):
+        lo, hi, scale = (np.append(v, 0.0) for v in (lo, hi, scale))
+    return lo, hi, scale
+
+
+@st.composite
+def p_intervals(draw):
+    """P-interval tables as `_DfTables.intervals` gives them, some entries
+    marked bad (lo = +inf, hi = -inf, scale SCALE_FLOOR)."""
+    nk, nm = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lo = draw(grid_ints(nk * nm, -4, 4))
+    hi = lo + draw(grid_ints(nk * nm, 0, 3))
+    scale = np.maximum(np.abs(lo), np.abs(hi)) + draw(grid_ints(nk * nm, 0, 2))
+    unit = draw(UNITS)
+    lo, hi, scale = lo * unit, hi * unit, scale * unit
+    bad = np.array(draw(st.lists(st.booleans(), min_size=nk * nm, max_size=nk * nm)))
+    lo[bad], hi[bad], scale[bad] = np.inf, -np.inf, SCALE_FLOOR
+    return lo.reshape(nk, nm), hi.reshape(nk, nm), scale.reshape(nk, nm)
+
+
+@given(term_intervals(), term_intervals(), st.integers(1, 4))
+def test_overlap_join_finds_each_overlapping_pair_once(a_iv, b_iv, block):
+    # closed intervals: touching ends and zero widths overlap
+    (a_lo, a_hi, _), (b_lo, b_hi, _) = a_iv, b_iv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sd, "JOIN_BLOCK", block)
+        blocks = [(i.tolist(), j.tolist()) for i, j in sd._overlap_blocks(a_lo, a_hi, b_lo, b_hi)]
+    pairs = [pair for i, j in blocks for pair in zip(i, j)]
+    assert sorted(pairs) == [(i, j) for i in range(len(a_lo)) for j in range(len(b_lo))
+                             if max(a_lo[i], b_lo[j]) <= min(a_hi[i], b_hi[j])]
+    # each block covers a run of i after the previous block's
+    runs = [sorted(set(i)) for i, _ in blocks if i]
+    assert all(prev[-1] < run[0] for prev, run in zip(runs, runs[1:]))
+
+
+@given(term_intervals(), term_intervals(), TOLS)
+def test_sf_prefilter_matches_loop(x_iv, y_iv, tol):
+    assert _prefilter_tuples(x_iv, y_iv, tol) == loop_prefilter_sf(x_iv, y_iv, tol)
+
+
+@given(p_intervals(), TOLS)
+def test_df_prefilter_matches_loop(p_iv, tol):
+    assert _prefilter_tuples_df(*p_iv, tol) == loop_prefilter_df(*p_iv, tol)
+
+
+@given(term_intervals(), term_intervals(), p_intervals(), TOLS, st.integers(1, 4))
+def test_prefilters_match_loop_truncated_in_small_blocks(x_iv, y_iv, p_iv, tol, block):
+    # a small cap truncates the output to its first INDEX_CAP + 1 tuples,
+    # and small join blocks make that prefix span several blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sd, "INDEX_CAP", 3)
+        mp.setattr(sd, "JOIN_BLOCK", block)
+        for new, ref in ((_prefilter_tuples(x_iv, y_iv, tol), loop_prefilter_sf(x_iv, y_iv, tol)),
+                         (_prefilter_tuples_df(*p_iv, tol), loop_prefilter_df(*p_iv, tol))):
+            assert new == ref
+            assert len(new) <= 4
+
+
+@pytest.mark.parametrize("tol, passes", [(0.5, True), (0.49, False)])
+def test_prefilters_gap_equal_to_tolerance_passes(tol, passes):
+    # Dx(0, 1) = -1 and Dy(0, 1) = -2 at scale 2: gap 1 against tol * 2
+    x_iv = (np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+    y_iv = (np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0.0, 2.0]))
+    sf = _prefilter_tuples(x_iv, y_iv, tol)
+    assert sf == loop_prefilter_sf(x_iv, y_iv, tol)
+    assert ((0, 1, 0, 1) in sf) == passes
+    # P(0, 0) = 0 and P(1, 1) = 1 at scale 2
+    p_iv = (np.array([[0.0, 9.0], [9.0, 1.0]]), np.array([[0.0, 9.0], [9.0, 1.0]]),
+            np.array([[1.0, 9.0], [9.0, 2.0]]))
+    df = _prefilter_tuples_df(*p_iv, tol)
+    assert df == loop_prefilter_df(*p_iv, tol)
+    assert ((0, 1, 0, 1) in df) == passes
+
+
+def test_prefilters_keep_pairs_passed_by_rounding():
+    # d + 0.5 rounds to 0.5 = tol * scale, so the gap test passes a pair
+    # whose exact gap exceeds the tolerance by d
+    d, tol = 3.5e-17, 0.5
+    x = np.array([d, 0.0])
+    y = np.array([1.0, 0.5])
+    x_iv, y_iv = (x, x, x), (y, y, y)
+    assert (0, 1, 1, 0) in loop_prefilter_sf(x_iv, y_iv, tol)
+    assert _prefilter_tuples(x_iv, y_iv, tol) == loop_prefilter_sf(x_iv, y_iv, tol)
+    p = np.array([[d, np.inf], [np.inf, -0.5]])
+    p_iv = (p, np.where(np.isinf(p), -np.inf, p), np.where(np.isinf(p), SCALE_FLOOR, np.abs(p)))
+    p_iv[2][1, 1] = 1.0
+    assert loop_prefilter_df(*p_iv, tol) == [(0, 1, 0, 1)]
+    assert _prefilter_tuples_df(*p_iv, tol) == [(0, 1, 0, 1)]
+
+
+def test_prefilter_truncates_at_cap_plus_one():
+    x_iv = (np.zeros(4), np.ones(4), np.ones(4))     # every tuple overlaps
+    p_iv = (np.zeros((4, 4)), np.ones((4, 4)), np.ones((4, 4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sd, "INDEX_CAP", 5)
+        mp.setattr(sd, "JOIN_BLOCK", 2)
+        assert _prefilter_tuples(x_iv, x_iv, 0.0) == loop_prefilter_sf(x_iv, x_iv, 0.0)
+        assert len(_prefilter_tuples(x_iv, x_iv, 0.0)) == 6
+        assert _prefilter_tuples_df(*p_iv, 0.0) == loop_prefilter_df(*p_iv, 0.0)
+        assert len(_prefilter_tuples_df(*p_iv, 0.0)) == 6
+
+
+def test_prefilter_scales():
+    # range 400 (SF) and 150 (DF): an O(n^4) loop here takes minutes
+    spec, moduli = random_rational_sf_spec(rng_for(0))
+    f = moduli.rational("omega1")
+    tables = _SfTables(spec, f.denominator, f.numerator, 400, 400, "k_omega")
+    sf = _prefilter_tuples(*tables.intervals(), 1e-6)
+    n = 401
+    assert 0 < len(sf) <= (n * (n - 1)) ** 2
+    assert len(set(sf)) == len(sf)
+    spec = df_spec(theta=1.0, w1_hat=1 / 3, w2_hat=1 / 5, delta=5e-5)
+    df = _prefilter_tuples_df(*_DfTables(spec, 3, 1, 5, 1, 150, 150).intervals(), 1e-6)
+    n = 150 * 150
+    assert 0 < len(df) <= n * (n - 1) // 2
+    assert len(set(df)) == len(df)
+    assert all(k1 != k2 and m1 != m2 for k1, k2, m1, m2 in df)

@@ -1,4 +1,13 @@
-"""Byte-identical golden outputs of the CLI on rational spec documents."""
+"""Byte-identical golden outputs of the CLI.
+
+`simple-check` runs on rational spec documents; `search-pairs` and
+`pipeline` run on one or two documents per case tag with a pair search.
+Those documents come from `perfbench/specgen.py` at seed 11 (batches of
+4, index in the file name).  The DF-3.1 documents are the DF-3.3.2 ones
+with the relation dropped and {theta, omega1, theta*omega2, 1} declared
+independent; the DF-3.2 document is DF-2.1 #1 with omega2/2pi moved onto
+the relation 7*theta*omega2 = theta + omega1 + 1.
+"""
 
 import json
 import tracemalloc
@@ -51,3 +60,45 @@ def test_loose_tolerance_prefilter_memory_bounded():
         tracemalloc.stop()
     assert len(tuples) == simple_dynamics.INDEX_CAP + 1
     assert peak < 64 * 2**20
+
+
+#: documents of the `search-pairs` goldens, each run at the default eps and
+#: at eps = 1e-2; error payloads are goldens too
+SEARCH_DOCS = (
+    "sf_1_0", "sf_1_1", "sf_2_0", "sf_2_2", "sf_3_0", "sf_3_1",
+    "df_1_0", "df_1_2", "df_2_1_0", "df_2_1_1", "df_2_2_2", "df_2_2_3",
+    "df_3_1_from_df_3_3_2_0", "df_3_1_from_df_3_3_2_2", "df_3_2_from_df_2_1_1",
+    "df_3_3_1_0", "df_3_3_1_1", "df_3_3_2_0", "df_3_3_2_2",
+)
+SEARCH_CASES = {
+    **{doc: (doc, {}) for doc in SEARCH_DOCS},
+    **{f"{doc}_eps1e-2": (doc, {"eps": "1e-2"}) for doc in SEARCH_DOCS},
+}
+#: documents of the `pipeline` goldens; --workers 1 and 2 share one golden
+PIPELINE_DOCS = ("sf_1_0", "sf_1_1", "sf_3_0", "sf_3_1", "df_1_0", "df_1_2", "df_2_1_0", "df_2_1_1")
+
+#: exit status of each payload's error stage (None: no error)
+EXIT_STATUS = {None: 0, "load": 1, "run": 1, "search": 2, "certify": 3}
+
+
+def _run_golden(command, doc, overrides, golden_name, tmp_path, capsys, workers=1):
+    out = tmp_path / "out.json"
+    config = cli.RunConfig(command, str(DATA / f"{doc}.json"), dict(overrides),
+                           out_path=str(out), workers=workers)
+    status = cli.run(config)
+    golden = (DATA / "golden" / f"{golden_name}.json").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == golden
+    assert capsys.readouterr().out == golden
+    assert status == EXIT_STATUS[json.loads(golden).get("error", {}).get("stage")]
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+def test_search_pairs_golden(name, tmp_path, capsys):
+    doc, overrides = SEARCH_CASES[name]
+    _run_golden("search-pairs", doc, overrides, f"search_pairs_{name}", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("doc", PIPELINE_DOCS)
+def test_pipeline_golden(doc, workers, tmp_path, capsys):
+    _run_golden("pipeline", doc, {}, f"pipeline_{doc}", tmp_path, capsys, workers=workers)

@@ -2,14 +2,22 @@
 
 Each search produces integer pairs (k, m) whose return-map coefficients
 (A_km, B_km) have B_km accumulating near zero while |A_km| stays inside a
-band on one side of 1.  The construction depends on the declared arithmetic
-case: rational angles pin residue classes; declared integer relations give
-lattice substitutions; fully independent moduli are handled by direct
-equidistribution scans over a bounded window.
+band on one side of 1.  The declared arithmetic of the moduli fixes the
+shape of the search, and three kernels serve the ten searched case tags:
 
-Scans are vectorized over the candidate index and always re-evaluate the
-surviving pairs through `return_map.coeffs`, so reported A/B values round-trip
-bit-exactly.
+- residue-class lattice (SF-1, DF-1): rational angles pin k to the residue
+  class of a witness, and m is rounded into its own class toward t*;
+- band scan over k (SF-3, DF-2.1, DF-3.1, DF-3.2): every k of the window,
+  or of the lattice step a relation allows, whose band value or torus point
+  qualifies, each with the m nearest its t*;
+- line-profile lattice (SF-2, DF-2.2, DF-3.3.1, DF-3.3.2): declared integer
+  relations put the target on a line; each expanding root s0 of the line's
+  B-profile carries a lattice of (k, m) whose torus points approach it.
+
+Each case is a parameter block for its kernel, and the kernels share one
+funnel: candidates, the window mask, a coarse gap, one exact
+`return_map.coeffs` evaluation per survivor, then assembly.  The reported
+A/B values are those of the exact stage, so they round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
-from .diophantine import circle_distance, frac
+from .diophantine import frac
 from .errors import DomainError, NotApplicable, PoleError, WindowExhausted
 from .return_map import (
     ReturnCoeffs,
@@ -32,6 +40,7 @@ from .return_map import (
     df_wave_coeffs,
     quant_bound,
     quant_margin,
+    sign_period,
 )
 
 log = logging.getLogger(__name__)
@@ -165,15 +174,8 @@ def check_A2(
     else:
         m_angles = [(m, m * spec.omega2) for m in range(1, m_window + 1)]
 
-    cdelta = quant_bound(spec.delta)
-    u1, u2 = spec.u_pair
     out: list[ResidueWitness] = []
-    for r2, w_angle in m_angles:
-        if quant_margin(spec, w_angle) <= cdelta:
-            continue
-        xi_num = math.cos(w_angle + spec.eta3) * u1 + math.sin(w_angle + spec.eta3) * u2
-        if abs(xi_num) <= zero_tol:
-            continue
+    for r2, w_angle, xi_num, _ in _m_residues(spec, m_angles, zero_tol):
         for r1, s_angle in k_angles:
             s1 = math.sin(s_angle + spec.eta1)
             s2 = math.sin(s_angle + spec.eta2)
@@ -339,18 +341,6 @@ class PairSequence:
     distances: tuple[float, ...] = ()
     best_distance: float = math.nan
 
-    @property
-    def b_interval(self) -> tuple[float, float]:
-        return (min(self.B_values), max(self.B_values))
-
-    @property
-    def b_density_gap(self) -> float:
-        """Largest gap between consecutive sorted B values."""
-        if len(self.B_values) < 2:
-            return math.inf
-        b = sorted(self.B_values)
-        return max(b2 - b1 for b1, b2 in zip(b, b[1:]))
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "case": self.case.value,
@@ -374,50 +364,67 @@ def _torus_point(spec: CycleSpec, theta: float, k: int, m: int) -> tuple[float, 
     return (t, s, w)
 
 
+@dataclass(frozen=True)
+class _Search:
+    """The arguments of one `search_pairs` call."""
+
+    spec: CycleSpec
+    moduli: Moduli
+    case: CaseTag
+    eps: float
+    window: SearchWindow
+    kind: str | None
+    min_pairs: int
+    band: tuple[float, float] | None
+    scan_halfwidth: float
+    residue_rank: int
+
+    @property
+    def what(self) -> str:
+        return self.case.value
+
+    def band_limits(self) -> tuple[str, float, float]:
+        """The requested side (cs unless asked) and its |alpha| band."""
+        kind = self.kind or "cs"
+        if self.band is not None:
+            return kind, self.band[0], self.band[1]
+        return (kind, 0.3, 0.7) if kind == "cs" else (kind, 1.5, 3.0)
+
+
+#: a kept candidate: k, m, its distance to the target and its coefficients
+_Kept = tuple[int, int, float, ReturnCoeffs]
+
+
 def _assemble(
-    spec: CycleSpec,
-    moduli: Moduli,
-    case: CaseTag,
-    kept: Sequence[tuple[int, int, float]],
-    eps: float,
-    target: TorusTarget | None,
-    residue: dict[str, int],
-    alpha_ref: float | None,
+    s: _Search,
+    kept: Sequence[_Kept],
     best_distance: float,
-    min_pairs: int,
     what: str,
+    target: TorusTarget | None = None,
+    residue: dict[str, int] | None = None,
+    alpha_ref: float | None = None,
 ) -> PairSequence:
-    if len(kept) < max(min_pairs, 1):
+    """The pair sequence of the kept candidates, one per (k, m) in (k, m)
+    order; a repeated pair keeps its last distance."""
+    kept = sorted({t[:2]: t for t in kept}.values(), key=lambda t: t[:2])
+    if len(kept) < max(s.min_pairs, 1):
         raise WindowExhausted(
             f"{what}: found {len(kept)} pairs (best distance {best_distance:.3e})",
             best_distance=best_distance,
             found=len(kept),
         )
-    kept = sorted(kept, key=lambda t: (t[0], t[1]))
-    pairs = []
-    a_vals = []
-    b_vals = []
-    t_vals = []
-    dists = []
-    for k, m, dist in kept:
-        rc = coeffs(spec, k, m)
-        pairs.append((k, m))
-        a_vals.append(rc.A_km)
-        b_vals.append(rc.B_km)
-        t_vals.append(_torus_point(spec, moduli.theta, k, m))
-        dists.append(dist)
-    log.info("%s: kept %d pairs, best distance %.3e", what, len(pairs), best_distance)
+    log.info("%s: kept %d pairs, best distance %.3e", what, len(kept), best_distance)
     return PairSequence(
-        pairs=tuple(pairs),
-        target_values=tuple(t_vals),
-        A_values=tuple(a_vals),
-        B_values=tuple(b_vals),
-        case=case,
-        target=target,
-        residue=residue,
+        pairs=tuple((k, m) for k, m, _, _ in kept),
+        target_values=tuple(_torus_point(s.spec, s.moduli.theta, k, m) for k, m, _, _ in kept),
+        A_values=tuple(rc.A_km for _, _, _, rc in kept),
+        B_values=tuple(rc.B_km for _, _, _, rc in kept),
+        case=s.case,
+        target=None if target is None else target_admissible(s.spec, target),
+        residue=dict(residue or {}),
         alpha_ref=alpha_ref,
-        eps=eps,
-        distances=tuple(dists),
+        eps=s.eps,
+        distances=tuple(d for _, _, d, _ in kept),
         best_distance=best_distance,
     )
 
@@ -438,6 +445,50 @@ def _pick_witness(
             found=0,
         )
     return matching[rank]
+
+
+def _relation(s: _Search, keys: tuple[str, ...], lead: str) -> list[Fraction]:
+    """The declared relation over `keys` solved for `lead`: the rational
+    coefficient of each other key, in key order."""
+    rel = s.moduli.relation_for(keys)
+    if rel is None:
+        raise DomainError(f"{s.what} needs a declared {{{', '.join(keys)}}} relation")
+    c = rel.coeffs
+    if c.get(lead, 0) == 0:
+        raise DomainError(f"{s.what} relation must involve {lead}")
+    return [Fraction(-c.get(key, 0), c[lead]) for key in keys if key != lead]
+
+
+def _theta_relation(s: _Search) -> list[Fraction]:
+    """theta = (p1/q1) * omega1/2pi + p2/q2, from the declared relation or a
+    rational theta."""
+    keys = ("theta", "omega1", "one")
+    if s.moduli.relation_for(keys) is None and s.moduli.is_rational("theta"):
+        return [Fraction(0), s.moduli.rational("theta")]
+    return _relation(s, keys, "theta")
+
+
+def _m_residues(
+    spec: CycleSpec, m_angles: Iterable[tuple[int, float]], zero_tol: float = ZERO_TOL
+) -> list[tuple[int, float, float, float]]:
+    """The m-rotations whose denominators clear quant_bound(delta) and whose
+    xi numerator is nonzero, as (index, angle, xi numerator, margin score)."""
+    cdelta = quant_bound(spec.delta)
+    u1, u2 = spec.u_pair
+    out = []
+    for r, angle in m_angles:
+        margin = quant_margin(spec, angle)
+        if margin <= cdelta:
+            continue
+        xi_num = math.cos(angle + spec.eta3) * u1 + math.sin(angle + spec.eta3) * u2
+        if abs(xi_num) > zero_tol:
+            out.append((r, angle, xi_num, min(margin - cdelta, abs(xi_num))))
+    return out
+
+
+def _circle_gap(x: np.ndarray, centre: float) -> np.ndarray:
+    """Distance of each x to centre on the unit circle R/Z."""
+    return np.abs((x - centre + 0.5) % 1.0 - 0.5)
 
 
 def _root_scan(fn: Callable[[float], float], lo: float, hi: float, n: int) -> list[float]:
@@ -471,32 +522,23 @@ def _expanding_roots(
     min_margin: float = 0.05,
     prefer: float = 2.0,
     limit: int = 6,
-) -> list[float]:
-    """Expanding-band roots ordered by closeness of |alpha| to `prefer`.
+) -> list[tuple[float, float, float]]:
+    """Expanding-band roots as (score, root, alpha), best score first; the
+    score is the distance of log|alpha| from log(prefer).
 
     Roots at extreme |alpha| sit next to sine zeros where the profile slope
     explodes and no lattice point lands inside the tolerance, so moderate
     bands certify far better than maximal ones; several moderate roots are
     harvested together to thicken the pair set.
     """
-    scored: list[tuple[float, float]] = []
+    scored: list[tuple[float, float, float]] = []
     for s0 in roots:
         a = alpha_of(s0)
         if not (math.isfinite(a) and abs(a) > 1.0 + min_margin):
             continue
-        scored.append((abs(math.log(abs(a)) - math.log(prefer)), s0))
+        scored.append((abs(math.log(abs(a)) - math.log(prefer)), s0, a))
     scored.sort()
-    return [s0 for _, s0 in scored[:limit]]
-
-
-def _select_expanding_root(
-    roots: Sequence[float],
-    alpha_of: Callable[[float], float],
-    min_margin: float = 0.05,
-    prefer: float = 2.0,
-) -> float | None:
-    top = _expanding_roots(roots, alpha_of, min_margin, prefer, limit=1)
-    return top[0] if top else None
+    return scored[:limit]
 
 
 def _slope_radius(fn: Callable[[float], float], s0: float, eps: float) -> float:
@@ -508,170 +550,6 @@ def _slope_radius(fn: Callable[[float], float], s0: float, eps: float) -> float:
     return min(2.0 * eps / slope, 0.5)
 
 
-def _exact_filter(
-    spec: CycleSpec,
-    ks: np.ndarray,
-    ms: np.ndarray,
-    dists: np.ndarray,
-    eps_b: float | None,
-) -> tuple[list[tuple[int, int, float]], float]:
-    """Re-evaluate candidates through `coeffs`; keep admissible ones with
-    |B_km| <= eps_b (when bounded).  Returns kept triples and best |B|."""
-    kept: list[tuple[int, int, float]] = []
-    best = math.inf
-    for k, m, dist in zip(ks.tolist(), ms.tolist(), dists.tolist()):
-        rc = coeffs(spec, int(k), int(m))
-        if not rc.admissible:
-            continue
-        best = min(best, abs(rc.B_km))
-        if eps_b is None or abs(rc.B_km) <= eps_b:
-            kept.append((int(k), int(m), float(dist)))
-    return kept, best
-
-
-# -- saddle-focus searches ---------------------------------------------------
-
-def _round_to_step(x: np.ndarray, step: int) -> np.ndarray:
-    return step * np.round(x / step)
-
-
-def _sf1(spec, moduli, eps, window, kind, min_pairs, residue_rank=0) -> PairSequence:
-    pq = moduli.rational("omega1")
-    q, p = pq.denominator, pq.numerator
-    wits = check_A1(spec, q, p)
-    wit = _pick_witness(wits, kind, "SF-1", residue_rank)
-    r = wit.r
-    omega = spec.omega1
-    bu = spec.b_coef * spec.u_scalar
-    r2sin = math.sin(r * omega + spec.eta2)
-    log_gamma = math.log(abs(spec.gamma))
-    t_star = math.log(bu / (spec.B_coef * r2sin)) / log_gamma
-    step = 2 if spec.gamma < 0 else 1
-    theta = moduli.theta
-
-    k0 = max(window.k_min, 1)
-    kp_lo = max(0 if r >= 1 else 1, math.ceil((k0 - r) / q))
-    kp_hi = (window.k_max - r) // q
-    if kp_hi < kp_lo:
-        raise WindowExhausted("SF-1: empty k window", found=0)
-    kp = np.arange(kp_lo, kp_hi + 1, dtype=np.int64)
-    ks = r + q * kp
-    ideal = t_star + theta * ks
-    ms = _round_to_step(ideal, step).astype(np.int64)
-    good = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms, ideal = ks[good], ms[good], ideal[good]
-    # coarse pass on the exponent gap, then exact re-evaluation
-    gap = np.abs(ms - ideal)
-    coarse = gap <= 2.0 * eps / (abs(bu) * log_gamma) + 1e-12
-    kept, best = _exact_filter(spec, ks[coarse], ms[coarse], gap[coarse], eps)
-    return _assemble(
-        spec, moduli, CaseTag.SF_1, kept, eps, None,
-        {"r": r, "q": q, "p": p}, wit.alpha, best, min_pairs, "SF-1",
-    )
-
-
-def _sf2(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth) -> PairSequence:
-    if kind == "cs":
-        raise NotApplicable("SF-2 guarantees only a cu band")
-    rel = moduli.relation_for(("theta", "omega1", "one"))
-    if rel is None:
-        if moduli.is_rational("theta"):
-            tq = moduli.rational("theta")
-            pq, pq2 = Fraction(0), tq
-        else:
-            raise DomainError("SF-2 needs a declared {theta, omega1, one} relation")
-    else:
-        c = rel.coeffs
-        ct = c.get("theta", 0)
-        if ct == 0:
-            raise DomainError("SF-2 relation must involve theta")
-        pq = Fraction(-c.get("omega1", 0), ct)
-        pq2 = Fraction(-c.get("one", 0), ct)
-    p, q = pq.numerator, pq.denominator
-    pp, qp = pq2.numerator, pq2.denominator
-
-    bu = spec.b_coef * spec.u_scalar
-    lg = math.log(abs(spec.gamma))
-
-    def h_line(s: float) -> float:
-        return (
-            math.exp(-(p / q) * s * lg) * spec.B_coef * math.sin(TWO_PI * s + spec.eta2)
-            - bu
-        )
-
-    roots = _root_scan(h_line, -scan_halfwidth, scan_halfwidth, 4096)
-    top = _expanding_roots(roots, lambda s: alpha_sf(spec, TWO_PI * s))
-    if not top:
-        raise WindowExhausted(
-            "SF-2: no root of the line profile with an expanding band "
-            f"in |s| <= {scan_halfwidth}",
-            found=0,
-        )
-    alpha_ref = alpha_sf(spec, TWO_PI * top[0])
-
-    step = 2 if spec.gamma < 0 else 1
-    qqp = q * qp
-    kp_hi = window.k_max // (qqp * step)
-    kp = np.arange(1, kp_hi + 1, dtype=np.int64) * step
-    w_hat = spec.omega1 / TWO_PI
-    kept: list[tuple[int, int, float]] = []
-    best = math.inf
-    for s0 in top:
-        accept = _slope_radius(h_line, s0, eps)
-        tau = s0 / qqp
-        ls = _round_to_step(kp * w_hat - tau, step).astype(np.int64)
-        sigma = qqp * (kp * w_hat - ls)
-        ks = qqp * kp
-        ms = pp * q * kp + p * qp * ls
-        good = (ms >= max(window.m_min, 1)) & (ms <= window.m_max) & (ks >= window.k_min)
-        dist = np.abs(sigma - s0)
-        coarse = good & (dist <= accept)
-        got, b = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], eps)
-        kept.extend(got)
-        best = min(best, b)
-    kept = sorted({(k, m): (k, m, d) for k, m, d in kept}.values())
-    kept = [t for t in kept if abs(coeffs(spec, t[0], t[1]).A_km) > 1.0]
-    return _assemble(
-        spec, moduli, CaseTag.SF_2, kept, eps, None,
-        {"q": q, "p": p, "qp": qp, "pp": pp}, alpha_ref, best, min_pairs, "SF-2",
-    )
-
-
-def _sf3(spec, moduli, eps, window, kind, min_pairs, band) -> PairSequence:
-    kind = kind or "cs"
-    lo, hi = band if band is not None else ((0.3, 0.7) if kind == "cs" else (1.5, 3.0))
-    bu = spec.b_coef * spec.u_scalar
-    lg = math.log(abs(spec.gamma))
-    theta = moduli.theta
-    step = 2 if spec.gamma < 0 else 1
-
-    ks = np.arange(max(window.k_min, 1), window.k_max + 1, dtype=np.int64)
-    ang = ks * spec.omega1
-    s1 = np.sin(ang + spec.eta1)
-    s2 = np.sin(ang + spec.eta2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = bu * spec.A_coef * s1 / (spec.B_coef * s2)
-    sign_ok = bu * s2 > 0.0
-    band_ok = (np.abs(alphas) >= lo) & (np.abs(alphas) <= hi)
-    good = sign_ok & band_ok
-    ks, s2v, alphas = ks[good], s2[good], alphas[good]
-    t_star = np.log(bu / (spec.B_coef * s2v)) / lg
-    ideal = t_star + theta * ks
-    ms = _round_to_step(ideal, step).astype(np.int64)
-    ok = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms, ideal = ks[ok], ms[ok], ideal[ok]
-    gap = np.abs(ms - ideal)
-    coarse = gap <= 2.0 * eps / (abs(bu) * lg) + 1e-12
-    kept, best = _exact_filter(spec, ks[coarse], ms[coarse], gap[coarse], eps)
-    return _assemble(
-        spec, moduli, CaseTag.SF_3, kept, eps, None,
-        {}, 0.5 * (lo + hi) if kind == "cs" else -0.5 * (lo + hi), best,
-        min_pairs, "SF-3",
-    )
-
-
-# -- double-focus searches ----------------------------------------------------
-
 def _df_target_tstar(spec: CycleSpec, s_star: float, w_star: float) -> float:
     """t with h(t, s*, w*) = 0; requires the positivity inequality."""
     _, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
@@ -682,446 +560,493 @@ def _df_target_tstar(spec: CycleSpec, s_star: float, w_star: float) -> float:
     return math.log(ratio) / math.log(spec.gamma)
 
 
-def _df1(spec, moduli, eps, window, kind, min_pairs, residue_rank=0) -> PairSequence:
-    f1, f2 = moduli.rational("omega1"), moduli.rational("omega2")
+# ---------------------------------------------------------------------------
+# The shared funnel: window mask, coarse gap, one exact evaluation, assembly
+# ---------------------------------------------------------------------------
+
+def _funnel(
+    spec: CycleSpec,
+    ks: np.ndarray,
+    ms: np.ndarray,
+    dists: np.ndarray,
+    threshold: float | np.ndarray,
+    eps_b: float | None,
+    best_of_b: bool,
+    expanding: bool = False,
+) -> tuple[list[_Kept], float]:
+    """Coarse gap on the windowed candidates, then one `coeffs` evaluation
+    per survivor, keeping the admissible ones with |B_km| <= eps_b (when
+    bounded) and, for expanding searches, |A_km| > 1.
+
+    Returns the kept candidates and the best distance: the best admissible
+    |B_km| when best_of_b, else the least distance of any windowed candidate.
+    """
+    coarse = dists <= threshold
+    kept: list[_Kept] = []
+    best = math.inf
+    for k, m, dist in zip(ks[coarse].tolist(), ms[coarse].tolist(), dists[coarse].tolist()):
+        rc = coeffs(spec, int(k), int(m))
+        if not rc.admissible:
+            continue
+        best = min(best, abs(rc.B_km))
+        if (eps_b is None or abs(rc.B_km) <= eps_b) and (not expanding or abs(rc.A_km) > 1.0):
+            kept.append((int(k), int(m), float(dist), rc))
+    if not best_of_b:
+        best = float(np.min(dists)) if dists.size else math.inf
+    return kept, best
+
+
+# -- residue-class lattice and band scan over k --------------------------------
+
+@dataclass(frozen=True)
+class _Lattice:
+    """A residue-lattice or band-scan case.
+
+    k runs over r + q*kp (k_class) inside the window; each k aims at t*
+    (one number, or per k from `aim`, which also drops ks), and m is the
+    integer of its class m_class nearest t* + theta*k.  With `slope` set, eps
+    bounds |B_km| and the coarse gap on t is 2*eps/slope; without it eps
+    bounds the torus distance, which also takes in the circle distances of
+    k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
+    """
+
+    k_class: tuple[int, int]
+    m_class: tuple[int, int]
+    t_star: float = math.nan
+    aim: Callable[[np.ndarray], tuple[np.ndarray, Any]] | None = None
+    slope: float | None = None
+    s_circle: float | None = None
+    w_circle: float | None = None
+    target: TorusTarget | None = None
+    residue: dict[str, int] = field(default_factory=dict)
+    alpha_ref: float | None = None
+
+
+def _k_lattice(s: _Search, r: int, q: int) -> np.ndarray:
+    """k = r + q*kp inside the window."""
+    k0 = max(s.window.k_min, 1)
+    kp_lo = max(0 if r >= 1 else 1, math.ceil((k0 - r) / q))
+    kp_hi = (s.window.k_max - r) // q
+    if kp_hi < kp_lo:
+        raise WindowExhausted(f"{s.what}: empty k window", found=0)
+    return r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64)
+
+
+def _m_rounding(s: _Search, blk: _Lattice, ks: np.ndarray, t_star: Any) -> PairSequence:
+    spec, theta = s.spec, s.moduli.theta
+    ideal = t_star + theta * ks
+    r, q = blk.m_class
+    ms = r + q * np.round((ideal - r) / q).astype(np.int64)
+    if spec.is_saddle_focus:
+        dist = np.abs(ms - ideal)
+    else:
+        dist = np.abs((ms - theta * ks) - t_star)
+    if blk.s_circle is not None:
+        dist = np.maximum(dist, _circle_gap(ks * (spec.omega1 / TWO_PI), blk.s_circle))
+    if blk.w_circle is not None:
+        dist = np.maximum(dist, _circle_gap(ms * (spec.omega2 / TWO_PI), blk.w_circle))
+    ok = (ms >= max(s.window.m_min, 1)) & (ms <= s.window.m_max)
+    if blk.slope is None:
+        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], s.eps, None, False)
+    else:
+        threshold = 2.0 * s.eps / blk.slope + 1e-12
+        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], threshold, s.eps, True)
+    return _assemble(s, kept, best, s.what, blk.target, blk.residue, blk.alpha_ref)
+
+
+def _residue_lattice(s: _Search, blk: _Lattice) -> PairSequence:
+    """SF-1, DF-1: k runs over the witness residue class, aiming at one t*."""
+    return _m_rounding(s, blk, _k_lattice(s, *blk.k_class), blk.t_star)
+
+
+def _band_scan(s: _Search, blk: _Lattice) -> PairSequence:
+    """SF-3, DF-2.1, DF-3.1, DF-3.2: the ks of the window (or of a k step)
+    that `aim` keeps, each aiming at its own t*."""
+    assert blk.aim is not None
+    ks, t_star = blk.aim(_k_lattice(s, *blk.k_class))
+    return _m_rounding(s, blk, ks, t_star)
+
+
+def _band_aim(
+    spec: CycleSpec, lo: float, hi: float, num: float, den: float, c: float, sign_c: float,
+    log_gamma: float,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The ks whose band value |num*sin(k*omega1 + eta1) / (den*sin2)| lies in
+    [lo, hi] and whose B-profile gamma^t*den*sin2 - c crosses zero
+    (sign_c*sin2 > 0), with the crossing t* of each; sin2 = sin(k*omega1 + eta2)."""
+    def aim(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ang = ks * spec.omega1
+        s1 = np.sin(ang + spec.eta1)
+        s2 = np.sin(ang + spec.eta2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alphas = num * s1 / (den * s2)
+        good = (sign_c * s2 > 0.0) & (np.abs(alphas) >= lo) & (np.abs(alphas) <= hi)
+        good &= np.abs(s2) > ZERO_TOL
+        return ks[good], np.log(c / (den * s2[good])) / log_gamma
+    return aim
+
+
+def _sf_residue_block(s: _Search) -> _Lattice:
+    """SF-1: the residue r of k mod q picked by check_A1."""
+    spec = s.spec
+    pq = s.moduli.rational("omega1")
+    q, p = pq.denominator, pq.numerator
+    wit = _pick_witness(check_A1(spec, q, p), s.kind, "SF-1", s.residue_rank)
+    bu = spec.b_coef * spec.u_scalar
+    log_gamma = math.log(abs(spec.gamma))
+    t_star = math.log(bu / (spec.B_coef * math.sin(wit.r * spec.omega1 + spec.eta2))) / log_gamma
+    return _Lattice(
+        k_class=(wit.r, q), m_class=(0, sign_period(spec)), t_star=t_star,
+        slope=abs(bu) * log_gamma, residue={"r": wit.r, "q": q, "p": p}, alpha_ref=wit.alpha,
+    )
+
+
+def _df_residue_block(s: _Search) -> _Lattice:
+    """DF-1: the residue pair (r1, r2) picked by check_A2, aiming at its
+    horizontal line."""
+    spec = s.spec
+    f1, f2 = s.moduli.rational("omega1"), s.moduli.rational("omega2")
     q1, p1 = f1.denominator, f1.numerator
     q2, p2 = f2.denominator, f2.numerator
-    wits = check_A2(spec, q1, p1, q2, p2)
-    wit = _pick_witness(wits, kind, "DF-1", residue_rank)
+    wit = _pick_witness(check_A2(spec, q1, p1, q2, p2), s.kind, "DF-1", s.residue_rank)
     r1, r2 = wit.r, wit.r2 or 0
     s_star = frac(r1 * p1 / q1)
     w_star = frac(r2 * p2 / q2)
-    target = target_admissible(
-        spec, TorusTarget.horizontal_line(s_star, w_star)
-    )
-    t_star = _df_target_tstar(spec, s_star, w_star)
-    theta = moduli.theta
-
-    k0 = max(window.k_min, 1)
-    kp_lo = max(0 if r1 >= 1 else 1, math.ceil((k0 - r1) / q1))
-    kp_hi = (window.k_max - r1) // q1
-    kp = np.arange(kp_lo, kp_hi + 1, dtype=np.int64)
-    ks = r1 + q1 * kp
-    ideal = (t_star + theta * ks - r2) / q2
-    mp = np.round(ideal).astype(np.int64)
-    ms = r2 + q2 * mp
-    good = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms = ks[good], ms[good]
-    t_n = ms - theta * ks
-    dist = np.abs(t_n - t_star)
-    coarse = dist <= eps
-    kept, best_b = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], None)
-    best = float(np.min(dist)) if dist.size else math.inf
-    return _assemble(
-        spec, moduli, CaseTag.DF_1, kept, eps, target,
-        {"r1": r1, "r2": r2, "q1": q1, "p1": p1, "q2": q2, "p2": p2},
-        wit.alpha, best, min_pairs, "DF-1",
+    return _Lattice(
+        k_class=(r1, q1), m_class=(r2, q2), t_star=_df_target_tstar(spec, s_star, w_star),
+        target=TorusTarget.horizontal_line(s_star, w_star),
+        residue={"r1": r1, "r2": r2, "q1": q1, "p1": p1, "q2": q2, "p2": p2},
+        alpha_ref=wit.alpha,
     )
 
 
-def _df21(spec, moduli, eps, window, kind, min_pairs, band) -> PairSequence:
-    kind = kind or "cs"
-    lo, hi = band if band is not None else ((0.3, 0.7) if kind == "cs" else (1.5, 3.0))
-    f2 = moduli.rational("omega2")
+def _sf_band_block(s: _Search) -> _Lattice:
+    """SF-3: every k whose band value lies in the requested band."""
+    spec = s.spec
+    kind, lo, hi = s.band_limits()
+    bu = spec.b_coef * spec.u_scalar
+    lg = math.log(abs(spec.gamma))
+    mid = 0.5 * (lo + hi)
+    return _Lattice(
+        k_class=(0, 1), m_class=(0, sign_period(spec)),
+        aim=_band_aim(spec, lo, hi, bu * spec.A_coef, spec.B_coef, bu, bu, lg),
+        slope=abs(bu) * lg, alpha_ref=mid if kind == "cs" else -mid,
+    )
+
+
+def _df_band_block(s: _Search) -> _Lattice:
+    """DF-2.1: SF-3 on the plane w = w* of the m-residue with the largest
+    admissibility margins."""
+    spec = s.spec
+    _, lo, hi = s.band_limits()
+    f2 = s.moduli.rational("omega2")
     q2, p2 = f2.denominator, f2.numerator
-    # pick the m-residue with the largest admissibility margins
-    cdelta = quant_bound(spec.delta)
-    u1, u2 = spec.u_pair
-    best_r2, best_m = None, 0.0
-    for r2 in range(q2):
-        w_angle = TWO_PI * r2 * p2 / q2
-        margin = quant_margin(spec, w_angle)
-        if margin <= cdelta:
-            continue
-        xi_num = math.cos(w_angle + spec.eta3) * u1 + math.sin(w_angle + spec.eta3) * u2
-        score = min(margin - cdelta, abs(xi_num))
-        if score > best_m:
-            best_r2, best_m = r2, score
-    if best_r2 is None:
+    residues = _m_residues(spec, [(r2, TWO_PI * r2 * p2 / q2) for r2 in range(q2)])
+    if not residues:
         raise WindowExhausted("DF-2.1: no admissible m-residue", found=0)
-    r2 = best_r2
+    r2 = max(residues, key=lambda t: t[3])[0]
     w_star = frac(r2 * p2 / q2)
-    target = target_admissible(spec, TorusTarget.plane(w_star=w_star))
     wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
-    theta = moduli.theta
     lg = math.log(spec.gamma)
-
-    ks = np.arange(max(window.k_min, 1), window.k_max + 1, dtype=np.int64)
-    ang = ks * spec.omega1
-    s1 = np.sin(ang + spec.eta1)
-    s2 = np.sin(ang + spec.eta2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = xi * wa * s1 / (wb * s2)
-    sign_ok = xi * wb * s2 > 0.0  # h-profile crosses zero at this angle
-    band_ok = (np.abs(alphas) >= lo) & (np.abs(alphas) <= hi)
-    good = sign_ok & band_ok & (np.abs(s2) > ZERO_TOL)
-    ks, s2v = ks[good], s2[good]
-    t_star = np.log(xi / (wb * s2v)) / lg
-    ideal = (t_star + theta * ks - r2) / q2
-    mp = np.round(ideal).astype(np.int64)
-    ms = r2 + q2 * mp
-    ok = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms, t_star = ks[ok], ms[ok], t_star[ok]
-    gap = np.abs((ms - theta * ks) - t_star)
-    coarse = gap <= 2.0 * eps / max(abs(xi) * lg, 1e-9) + 1e-12
-    kept, best = _exact_filter(spec, ks[coarse], ms[coarse], gap[coarse], eps)
-    return _assemble(
-        spec, moduli, CaseTag.DF_2_1, kept, eps, target,
-        {"r2": r2, "q2": q2, "p2": p2}, None, best, min_pairs, "DF-2.1",
+    return _Lattice(
+        k_class=(0, 1), m_class=(r2, q2),
+        aim=_band_aim(spec, lo, hi, xi * wa, wb, xi, xi * wb, lg),
+        slope=max(abs(xi) * lg, 1e-9), target=TorusTarget.plane(w_star=w_star),
+        residue={"r2": r2, "q2": q2, "p2": p2},
     )
 
 
-def _theta_relation(moduli: Moduli) -> tuple[Fraction, Fraction]:
-    """theta = (p1/q1) * omega1/2pi + p2/q2 from the declared relation."""
-    rel = moduli.relation_for(("theta", "omega1", "one"))
-    if rel is None:
-        if moduli.is_rational("theta"):
-            return Fraction(0), moduli.rational("theta")
-        raise DomainError("need a declared {theta, omega1, one} relation")
-    c = rel.coeffs
-    ct = c.get("theta", 0)
-    if ct == 0:
-        raise DomainError("relation must involve theta")
-    return Fraction(-c.get("omega1", 0), ct), Fraction(-c.get("one", 0), ct)
-
-
-def _df22(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth) -> PairSequence:
-    if kind == "cs":
-        raise NotApplicable("DF-2.2 guarantees only a cu band")
-    pq1, pq2 = _theta_relation(moduli)
-    p1, q1 = pq1.numerator, pq1.denominator
-    p2, q2 = pq2.numerator, pq2.denominator
-    f3 = moduli.rational("omega2")
-    q3, p3 = f3.denominator, f3.numerator
-    if p1 == 0:
-        raise WindowExhausted(
-            "DF-2.2: theta rational makes the tilted target degenerate", found=0
-        )
-    cdelta = quant_bound(spec.delta)
-    u1, u2 = spec.u_pair
-    candidates = []
-    for r2 in range(q3):
-        w_angle = TWO_PI * r2 * p3 / q3
-        if quant_margin(spec, w_angle) <= cdelta:
-            continue
-        xi_num = math.cos(w_angle + spec.eta3) * u1 + math.sin(w_angle + spec.eta3) * u2
-        if abs(xi_num) > ZERO_TOL:
-            candidates.append(r2)
-    if not candidates:
-        raise WindowExhausted("DF-2.2: no admissible m-residue", found=0)
-
-    lg = math.log(spec.gamma)
-    scored: list[tuple[float, int, float, Callable[[float], float]]] = []
-    for r2 in candidates:
-        w_star = frac(r2 * p3 / q3)
-        _, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
-
-        def h_line(s: float, _wb=wb, _xi=xi, _r2=r2) -> float:
-            return (
-                math.exp((_r2 - (p1 / q1) * s) * lg)
-                * _wb * math.sin(TWO_PI * s + spec.eta2)
-                - _xi
-            )
-
-        roots = _root_scan(h_line, -scan_halfwidth, scan_halfwidth, 4096)
-        for s0 in _expanding_roots(
-            roots, lambda s: alpha_df(spec, TWO_PI * s, TWO_PI * w_star)
-        ):
-            a = alpha_df(spec, TWO_PI * s0, TWO_PI * w_star)
-            scored.append((abs(math.log(abs(a)) - math.log(2.0)), r2, s0, h_line))
-    if not scored:
-        raise WindowExhausted("DF-2.2: no expanding root of the line profile", found=0)
-    scored.sort(key=lambda t: t[0])
-    # all pairs must come from one tilted line, i.e. one m-residue
-    r2_ref, s0_ref = scored[0][1], scored[0][2]
-    scored = [t for t in scored if t[1] == r2_ref][:6]
-    w_star_ref = frac(r2_ref * p3 / q3)
-    target = target_admissible(
-        spec, TorusTarget.tilted_line(a1=-p1 / q1, b=float(r2_ref), w_star=w_star_ref)
-    )
-    alpha_ref = alpha_df(spec, TWO_PI * s0_ref, TWO_PI * w_star_ref)
-
-    qk = q2 * q3
-    kp = np.arange(1, window.k_max // qk + 1, dtype=np.int64)
-    w_hat = spec.omega1 / TWO_PI
-    den = q1 * q3
-    kept: list[tuple[int, int, float]] = []
-    bestd = math.inf
-    for _, r2, s0, h_line in scored:
-        accept = _slope_radius(h_line, s0, eps)
-        ip = np.round((qk * kp * w_hat - s0) / den).astype(np.int64)
-        sigma = qk * kp * w_hat - den * ip
-        ks = qk * kp
-        ms = r2 + p2 * q3 * kp + p1 * q3 * ip
-        good = (ms >= max(window.m_min, 1)) & (ms <= window.m_max) & (ks >= window.k_min)
-        dist = np.abs(sigma - s0)
-        if dist[good].size:
-            bestd = min(bestd, float(np.min(dist[good])))
-        coarse = good & (dist <= accept)
-        got, _ = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], None)
-        kept.extend(got)
-    kept = sorted({(k, m): (k, m, d) for k, m, d in kept}.values())
-    kept = [t for t in kept if abs(coeffs(spec, t[0], t[1]).A_km) > 1.0
-            and abs(coeffs(spec, t[0], t[1]).B_km) <= eps]
-    return _assemble(
-        spec, moduli, CaseTag.DF_2_2, kept, eps, target,
-        {"r2": r2_ref, "q1": q1, "p1": p1, "q2": q2, "p2": p2, "q3": q3, "p3": p3},
-        alpha_ref, bestd, min_pairs, "DF-2.2",
-    )
-
-
-def _df31(spec, moduli, eps, window, kind, min_pairs, band) -> PairSequence:
-    kind = kind or "cs"
-    lo, hi = band if band is not None else ((0.3, 0.7) if kind == "cs" else (1.5, 3.0))
-    theta = moduli.theta
-    w2_hat = spec.omega2 / TWO_PI
-    # pick (s*, w*) on a grid with healthy margins and the requested band
-    best_t: tuple[float, float, float, float] | None = None  # margin, s*, w*, t*
-    for w_star in np.linspace(0.0, 1.0, 37, endpoint=False):
+def _df_grid_block(s: _Search) -> _Lattice:
+    """DF-3.1: the (s*, w*) grid point with the healthiest margins in the
+    requested band; ks are prefiltered on their circle distance to s*."""
+    spec = s.spec
+    _, lo, hi = s.band_limits()
+    best_t: tuple[float, float, float] | None = None  # margin, s*, w*
+    for w_grid in np.linspace(0.0, 1.0, 37, endpoint=False):
+        w_star = float(w_grid)
         try:
-            wa, wb, xi = df_wave_coeffs(spec, TWO_PI * float(w_star))
+            _, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
         except PoleError:
             continue
-        if quant_margin(spec, TWO_PI * float(w_star)) <= quant_bound(spec.delta):
+        if quant_margin(spec, TWO_PI * w_star) <= quant_bound(spec.delta):
             continue
-        for s_star in np.linspace(0.0, 1.0, 73, endpoint=False):
-            s2 = math.sin(TWO_PI * float(s_star) + spec.eta2)
+        for s_grid in np.linspace(0.0, 1.0, 73, endpoint=False):
+            s_star = float(s_grid)
+            s2 = math.sin(TWO_PI * s_star + spec.eta2)
             if xi * wb * s2 <= 0.0:
                 continue
-            a = alpha_df(spec, TWO_PI * float(s_star), TWO_PI * float(w_star))
+            a = alpha_df(spec, TWO_PI * s_star, TWO_PI * w_star)
             if not (math.isfinite(a) and lo <= abs(a) <= hi):
                 continue
             margin = min(abs(abs(a) - 1.0), abs(xi * wb * s2))
             if best_t is None or margin > best_t[0]:
-                t_star = _df_target_tstar(spec, float(s_star), float(w_star))
-                best_t = (margin, float(s_star), float(w_star), t_star)
+                best_t = (margin, s_star, w_star)
     if best_t is None:
         raise WindowExhausted("DF-3.1: no admissible target point", found=0)
-    _, s_star, w_star, t_star = best_t
-    target = target_admissible(spec, TorusTarget.horizontal_line(s_star, w_star))
-
-    ks = np.arange(max(window.k_min, 1), window.k_max + 1, dtype=np.int64)
-    s_dist = np.abs((ks * (spec.omega1 / TWO_PI) - s_star + 0.5) % 1.0 - 0.5)
-    pre = s_dist <= eps
-    ks, s_dist = ks[pre], s_dist[pre]
-    ms = np.round(t_star + theta * ks).astype(np.int64)
-    ok = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms, s_dist = ks[ok], ms[ok], s_dist[ok]
-    t_dist = np.abs((ms - theta * ks) - t_star)
-    w_dist = np.abs((ms * w2_hat - w_star + 0.5) % 1.0 - 0.5)
-    dist = np.maximum(np.maximum(t_dist, s_dist), w_dist)
-    coarse = dist <= eps
-    kept, _ = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], None)
-    best = float(np.min(dist)) if dist.size else math.inf
-    return _assemble(
-        spec, moduli, CaseTag.DF_3_1, kept, eps, target, {}, None, best,
-        min_pairs, "DF-3.1",
+    _, s_star, w_star = best_t
+    t_star = _df_target_tstar(spec, s_star, w_star)
+    w1_hat = spec.omega1 / TWO_PI
+    return _Lattice(
+        k_class=(0, 1), m_class=(0, 1),
+        aim=lambda ks: (ks[_circle_gap(ks * w1_hat, s_star) <= s.eps], t_star),
+        s_circle=s_star, w_circle=w_star, target=TorusTarget.horizontal_line(s_star, w_star),
     )
 
 
-def _df32(spec, moduli, eps, window, kind, min_pairs, band) -> PairSequence:
-    kind = kind or "cs"
-    lo, hi = band if band is not None else ((0.3, 0.7) if kind == "cs" else (1.5, 3.0))
-    rel = moduli.relation_for(("theta", "omega1", "theta_omega2", "one"))
-    if rel is None:
-        raise DomainError("DF-3.2 needs the declared 4-term relation")
-    c = rel.coeffs
-    ctw = c.get("theta_omega2", 0)
-    if ctw == 0:
-        raise DomainError("DF-3.2 relation must involve theta*omega2")
-    pq1 = Fraction(-c.get("theta", 0), ctw)
-    pq2 = Fraction(-c.get("omega1", 0), ctw)
-    pq3 = Fraction(-c.get("one", 0), ctw)
-    q1, q2, q3 = pq1.denominator, pq2.denominator, pq3.denominator
-    theta = moduli.theta
-    w2_hat = spec.omega2 / TWO_PI
-    a_pl = float(pq1) - w2_hat
+def _df_plane_block(s: _Search) -> _Lattice:
+    """DF-3.2: a target point on the plane of the 4-term relation, found by
+    a grid in s and a root in t; k and m run over the relation's lattice."""
+    spec = s.spec
+    _, lo, hi = s.band_limits()
+    pq1, pq2, pq3 = _relation(s, ("theta", "omega1", "theta_omega2", "one"), "theta_omega2")
+    a_pl = float(pq1) - spec.omega2 / TWO_PI
     b_pl = float(pq2)
-    target = target_admissible(spec, TorusTarget.plane(a=a_pl, b=b_pl))
     lg = math.log(spec.gamma)
-
-    # target point on the plane: grid in s, root in t
     best_t: tuple[float, float, float] | None = None  # margin, t*, s*
-    for s_star in np.linspace(0.0, 1.0, 73, endpoint=False):
-        def h_plane(t: float, _s=float(s_star)) -> float:
-            w_ang = TWO_PI * (a_pl * t + b_pl * _s)
+    for s_grid in np.linspace(0.0, 1.0, 73, endpoint=False):
+        s_star = float(s_grid)
+
+        def h_plane(t: float, _s: float = s_star) -> float:
             try:
-                _, wb, xi = df_wave_coeffs(spec, w_ang)
+                _, wb, xi = df_wave_coeffs(spec, TWO_PI * (a_pl * t + b_pl * _s))
             except PoleError:
                 return math.nan
             return math.exp(t * lg) * wb * math.sin(TWO_PI * _s + spec.eta2) - xi
 
         for t0 in _root_scan(h_plane, -6.0, 6.0, 1024):
-            w0 = frac(a_pl * t0 + b_pl * float(s_star))
+            w0 = frac(a_pl * t0 + b_pl * s_star)
             if quant_margin(spec, TWO_PI * w0) <= quant_bound(spec.delta):
                 continue
-            a = alpha_df(spec, TWO_PI * float(s_star), TWO_PI * w0)
+            a = alpha_df(spec, TWO_PI * s_star, TWO_PI * w0)
             if not (math.isfinite(a) and lo <= abs(a) <= hi):
                 continue
             margin = abs(abs(a) - 1.0)
             if best_t is None or margin > best_t[0]:
-                best_t = (margin, t0, float(s_star))
+                best_t = (margin, t0, s_star)
     if best_t is None:
         raise WindowExhausted("DF-3.2: no admissible target point on the plane", found=0)
     _, t_star, s_star = best_t
-
-    kp = np.arange(1, window.k_max // q3 + 1, dtype=np.int64)
-    ks = q3 * kp
-    mp = np.round((t_star + ks * theta) / q1).astype(np.int64)
-    ms = q1 * mp
-    ok = (ms >= max(window.m_min, 1)) & (ms <= window.m_max)
-    ks, ms = ks[ok], ms[ok]
-    t_dist = np.abs((ms - theta * ks) - t_star)
-    s_dist = np.abs((ks * (spec.omega1 / TWO_PI) - s_star + 0.5) % 1.0 - 0.5)
-    dist = np.maximum(t_dist, s_dist)
-    coarse = dist <= eps
-    kept, _ = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], None)
-    best = float(np.min(dist)) if dist.size else math.inf
-    return _assemble(
-        spec, moduli, CaseTag.DF_3_2, kept, eps, target, {}, None, best,
-        min_pairs, "DF-3.2",
+    return _Lattice(
+        k_class=(0, pq3.denominator), m_class=(0, pq1.denominator),
+        aim=lambda ks: (ks, t_star), s_circle=s_star, target=TorusTarget.plane(a=a_pl, b=b_pl),
     )
 
 
-def _df33(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth, case) -> PairSequence:
-    if kind == "cs":
-        raise NotApplicable(f"{case.value} guarantees only a cu band")
-    pq1, pq2 = _theta_relation(moduli)
+# -- line-profile lattice -------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Profile:
+    """One line profile h(s) of a line-profile case: its roots with an
+    expanding band value alpha(s) are the target points s0."""
+
+    h: Callable[[float], float]
+    alpha: Callable[[float], float]
+    target: TorusTarget | None
+    residue: dict[str, int]
+    m0: int = 0  # m offset of the lattice
+    w: float | None = None  # the profile's fixed w, measured into the distance
+
+
+@dataclass(frozen=True)
+class _Line:
+    """A line-profile case: its profiles, how many points scan each and how
+    many expanding roots each gives, and lattice(s0, profile), the (k, m)
+    candidates of a root with their distances.  w_of(s0), when set, drops
+    roots whose w fails the denominator margin; eps bounds |B_km| when
+    bound_b, and the coarse gap is at least `floor`."""
+
+    profiles: list[_Profile]
+    lattice: Callable[[float, _Profile], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    n_scan: int = 4096
+    per_profile: int = 6
+    w_of: Callable[[float], float] | None = None
+    bound_b: bool = True
+    best_of_b: bool = False
+    floor: float = 0.0
+
+
+def _line_lattice(s: _Search, blk: _Line) -> PairSequence:
+    """SF-2, DF-2.2, DF-3.3.x: the best expanding roots of one profile, each
+    with a (k, m) lattice whose torus points approach it."""
+    spec, hw = s.spec, s.scan_halfwidth
+    roots: list[tuple[float, int, float, float]] = []  # score, profile, s0, alpha
+    for i, prof in enumerate(blk.profiles):
+        found = _root_scan(prof.h, -hw, hw, blk.n_scan)
+        for score, s0, a in _expanding_roots(found, prof.alpha, limit=blk.per_profile):
+            if blk.w_of is not None and (
+                quant_margin(spec, TWO_PI * blk.w_of(s0)) <= quant_bound(spec.delta)
+            ):
+                continue
+            roots.append((score, i, s0, a))
+    if not roots:
+        raise WindowExhausted(
+            f"{s.what}: no root of the line profile with an expanding band in |s| <= {hw}",
+            found=0,
+        )
+    roots.sort(key=lambda t: t[0])
+    # all pairs come from one target line, i.e. one profile
+    ref = roots[0][1]
+    prof = blk.profiles[ref]
+    parts = []
+    for _, _, s0, _ in [t for t in roots if t[1] == ref][:6]:
+        ks, ms, dist = blk.lattice(s0, prof)
+        good = (ms >= max(s.window.m_min, 1)) & (ms <= s.window.m_max) & (ks >= s.window.k_min)
+        accept = max(_slope_radius(prof.h, s0, s.eps), blk.floor)
+        parts.append((ks[good], ms[good], dist[good], np.full(int(good.sum()), accept)))
+    ks, ms, dist, threshold = (np.concatenate(c) for c in zip(*parts))
+    kept, best = _funnel(
+        spec, ks, ms, dist, threshold, s.eps if blk.bound_b else None, blk.best_of_b,
+        expanding=True,
+    )
+    return _assemble(s, kept, best, s.what, prof.target, prof.residue, roots[0][3])
+
+
+def _line_profile(
+    spec: CycleSpec, log_gamma: float, slope: float, waves: Callable[[float], tuple[float, float]],
+    m0: int = 0,
+) -> Callable[[float], float]:
+    """B-profile along a target line: gamma^(m0 - slope*x) * wb * sin(2*pi*x +
+    eta2) - xi, with (wb, xi) = waves(x)."""
+    def h(x: float) -> float:
+        wb, xi = waves(x)
+        return math.exp((m0 - slope * x) * log_gamma) * wb * math.sin(TWO_PI * x + spec.eta2) - xi
+    return h
+
+
+def _df_waves(spec: CycleSpec, angle: float) -> tuple[float, float]:
+    """(B, xi) of the double-focus wave coefficients; NaN at a pole."""
+    try:
+        return df_wave_coeffs(spec, angle)[1:]
+    except PoleError:
+        return math.nan, math.nan
+
+
+def _df_line_lattice(
+    s: _Search, lattice_k: int, den: int, a: int, b: int
+) -> Callable[[float, _Profile], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """k = lattice_k*kp; the integer ip puts sigma = k*omega1/2pi - den*ip
+    next to s0, and m = m0 + a*kp + b*ip."""
+    kp = np.arange(1, s.window.k_max // lattice_k + 1, dtype=np.int64)
+    w_hat = s.spec.omega1 / TWO_PI
+    w2_hat = s.spec.omega2 / TWO_PI
+
+    def lattice(s0: float, prof: _Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ip = np.round((lattice_k * kp * w_hat - s0) / den).astype(np.int64)
+        sigma = lattice_k * kp * w_hat - den * ip
+        ms = prof.m0 + a * kp + b * ip
+        dist = np.abs(sigma - s0)
+        if prof.w is not None:
+            dist = np.maximum(dist, _circle_gap(ms * w2_hat, prof.w))
+        return lattice_k * kp, ms, dist
+    return lattice
+
+
+def _sf_line_block(s: _Search) -> _Line:
+    """SF-2: the line t = -(p/q)*s of the theta relation."""
+    spec = s.spec
+    pq, pq2 = _theta_relation(s)
+    p, q = pq.numerator, pq.denominator
+    pp, qp = pq2.numerator, pq2.denominator
+    bu = spec.b_coef * spec.u_scalar
+    h_line = _line_profile(spec, math.log(abs(spec.gamma)), p / q, lambda x: (spec.B_coef, bu))
+    step = sign_period(spec)
+    qqp = q * qp
+    kp = np.arange(1, s.window.k_max // (qqp * step) + 1, dtype=np.int64) * step
+    w_hat = spec.omega1 / TWO_PI
+
+    def lattice(s0: float, prof: _Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ls = (step * np.round((kp * w_hat - s0 / qqp) / step)).astype(np.int64)
+        sigma = qqp * (kp * w_hat - ls)
+        return qqp * kp, pp * q * kp + p * qp * ls, np.abs(sigma - s0)
+
+    prof = _Profile(h_line, lambda x: alpha_sf(spec, TWO_PI * x), None,
+                    {"q": q, "p": p, "qp": qp, "pp": pp})
+    return _Line([prof], lattice, best_of_b=True)
+
+
+def _df_tilted_block(s: _Search) -> _Line:
+    """DF-2.2: one tilted line per admissible m-residue r2."""
+    spec = s.spec
+    pq1, pq2 = _theta_relation(s)
+    p1, q1 = pq1.numerator, pq1.denominator
+    p2, q2 = pq2.numerator, pq2.denominator
+    f3 = s.moduli.rational("omega2")
+    q3, p3 = f3.denominator, f3.numerator
+    if p1 == 0:
+        raise WindowExhausted(
+            f"{s.what}: theta rational makes the tilted target degenerate", found=0
+        )
+    lg = math.log(spec.gamma)
+    profiles = []
+    for r2, _, _, _ in _m_residues(spec, [(r2, TWO_PI * r2 * p3 / q3) for r2 in range(q3)]):
+        w_star = frac(r2 * p3 / q3)
+        wave = _df_waves(spec, TWO_PI * w_star)
+        profiles.append(_Profile(
+            _line_profile(spec, lg, p1 / q1, lambda x, _c=wave: _c, m0=r2),
+            lambda x, _w=w_star: alpha_df(spec, TWO_PI * x, TWO_PI * _w),
+            TorusTarget.tilted_line(a1=-p1 / q1, b=float(r2), w_star=w_star),
+            {"r2": r2, "q1": q1, "p1": p1, "q2": q2, "p2": p2, "q3": q3, "p3": p3}, m0=r2,
+        ))
+    if not profiles:
+        raise WindowExhausted("DF-2.2: no admissible m-residue", found=0)
+    return _Line(profiles, _df_line_lattice(s, q2 * q3, q1 * q3, p2 * q3, p1 * q3))
+
+
+def _df_line_block(s: _Search) -> _Line:
+    """DF-3.3.1: the line of both relations, w moving with s.  DF-3.3.2: w is
+    free on the line plane, so one profile per horizontal w slice."""
+    spec = s.spec
+    pq1, pq2 = _theta_relation(s)
     p1, q1 = pq1.numerator, pq1.denominator
     p2, q2 = pq2.numerator, pq2.denominator
     if p1 == 0:
         raise WindowExhausted(
-            f"{case.value}: theta rational makes the tilted target degenerate",
-            found=0,
+            f"{s.what}: theta rational makes the tilted target degenerate", found=0
         )
-    theta = moduli.theta
-    w2_hat = spec.omega2 / TWO_PI
     lg = math.log(spec.gamma)
-
-    if case is CaseTag.DF_3_3_1:
-        rel2 = moduli.relation_for(("omega1", "theta_omega2", "one"))
-        if rel2 is None:
-            raise DomainError("DF-3.3.1 needs the declared {omega1, theta*omega2, one} relation")
-        c2 = rel2.coeffs
-        ctw = c2.get("theta_omega2", 0)
-        if ctw == 0:
-            raise DomainError("DF-3.3.1 second relation must involve theta*omega2")
-        pq3 = Fraction(-c2.get("omega1", 0), ctw)
-        pq4 = Fraction(-c2.get("one", 0), ctw)
-        p3, q3 = pq3.numerator, pq3.denominator
-        p4, q4 = pq4.numerator, pq4.denominator
-        a_line = float(pq3) - w2_hat * (p1 / q1)
-
-        def w_of_s(s: float) -> float:
-            return a_line * s
-
-        lattice_k = q2 * q4
-        den = q1 * q3
-
-        def make_m(kp: np.ndarray, ip: np.ndarray) -> np.ndarray:
-            return p2 * q4 * kp + p1 * q3 * ip
-
-        target = target_admissible(
-            spec, TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, a2=a_line)
+    residue = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
+    if s.case is CaseTag.DF_3_3_1:
+        pq3, pq4 = _relation(s, ("omega1", "theta_omega2", "one"), "theta_omega2")
+        a_line = float(pq3) - spec.omega2 / TWO_PI * (p1 / q1)
+        prof = _Profile(
+            _line_profile(spec, lg, p1 / q1, lambda x: _df_waves(spec, TWO_PI * (a_line * x))),
+            lambda x: alpha_df(spec, TWO_PI * x, TWO_PI * frac(a_line * x)),
+            TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, a2=a_line), residue,
         )
-    else:
-        # DF-3.3.2: w is free on the line plane; target a horizontal w slice
-        lattice_k = q2
-        den = q1
-
-        def make_m(kp: np.ndarray, ip: np.ndarray) -> np.ndarray:
-            return p2 * kp + p1 * ip
-
-        w_of_s = None  # type: ignore[assignment]
-        target = None  # chosen below
-
-    def line_profile(s: float, w_val: float | None) -> float:
-        w = w_of_s(s) if w_val is None else w_val  # type: ignore[misc]
-        try:
-            _, wb, xi = df_wave_coeffs(spec, TWO_PI * w)
-        except PoleError:
-            return math.nan
-        return (
-            math.exp(-(p1 / q1) * s * lg) * wb * math.sin(TWO_PI * s + spec.eta2) - xi
+        lattice = _df_line_lattice(s, q2 * pq4.denominator, q1 * pq3.denominator,
+                                   p2 * pq4.denominator, p1 * pq3.denominator)
+        return _Line([prof], lattice, per_profile=12, w_of=lambda x: frac(a_line * x))
+    profiles = [
+        _Profile(
+            _line_profile(spec, lg, p1 / q1, lambda x, _c=_df_waves(spec, TWO_PI * w): _c),
+            lambda x, _w=w: alpha_df(spec, TWO_PI * x, TWO_PI * _w),
+            TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, w_star=w), residue, w=w,
         )
-
-    scored: list[tuple[float, float, float, float]] = []  # score, s0, w0, accept
-    if case is CaseTag.DF_3_3_1:
-        fn = lambda s: line_profile(s, None)
-        roots = _root_scan(fn, -scan_halfwidth, scan_halfwidth, 4096)
-        for s0 in _expanding_roots(
-            roots, lambda s: alpha_df(spec, TWO_PI * s, TWO_PI * frac(w_of_s(s))),
-            limit=12,
-        ):
-            w0 = frac(w_of_s(s0))
-            if quant_margin(spec, TWO_PI * w0) <= quant_bound(spec.delta):
-                continue
-            a = alpha_df(spec, TWO_PI * s0, TWO_PI * w0)
-            scored.append((abs(math.log(abs(a)) - math.log(2.0)), s0, w0,
-                           _slope_radius(fn, s0, eps)))
-    else:
-        for w_grid in np.linspace(0.0, 1.0, 41, endpoint=False):
-            wv = float(w_grid)
-            if quant_margin(spec, TWO_PI * wv) <= quant_bound(spec.delta):
-                continue
-            fn = lambda s, _w=wv: line_profile(s, _w)
-            for s0 in _expanding_roots(
-                _root_scan(fn, -scan_halfwidth, scan_halfwidth, 2048),
-                lambda s: alpha_df(spec, TWO_PI * s, TWO_PI * wv),
-                limit=2,
-            ):
-                a = alpha_df(spec, TWO_PI * s0, TWO_PI * wv)
-                scored.append((abs(math.log(abs(a)) - math.log(2.0)), s0, wv,
-                               _slope_radius(fn, s0, eps)))
-    if not scored:
-        raise WindowExhausted(f"{case.value}: no expanding root on the target line", found=0)
-    scored.sort(key=lambda t: t[0])
-    s0_ref, w0_ref = scored[0][1], scored[0][2]
-    if case is CaseTag.DF_3_3_2:
-        # one target line means one w slice
-        scored = [t for t in scored if t[2] == w0_ref]
-    scored = scored[:6]
-    if case is CaseTag.DF_3_3_2:
-        target = target_admissible(
-            spec, TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, w_star=w0_ref)
-        )
-    alpha_ref = alpha_df(spec, TWO_PI * s0_ref, TWO_PI * w0_ref)
-
-    kp = np.arange(1, window.k_max // lattice_k + 1, dtype=np.int64)
-    w_hat = spec.omega1 / TWO_PI
-    kept: list[tuple[int, int, float]] = []
-    best_d = math.inf
-    for _, s0, w0, accept in scored:
-        ip = np.round((lattice_k * kp * w_hat - s0) / den).astype(np.int64)
-        sigma = lattice_k * kp * w_hat - den * ip
-        ks = lattice_k * kp
-        ms = make_m(kp, ip)
-        good = (ms >= max(window.m_min, 1)) & (ms <= window.m_max) & (ks >= window.k_min)
-        dist = np.abs(sigma - s0)
-        if case is CaseTag.DF_3_3_2:
-            w_dist = np.abs((ms * w2_hat - w0 + 0.5) % 1.0 - 0.5)
-            dist = np.maximum(dist, w_dist)
-        if dist[good].size:
-            best_d = min(best_d, float(np.min(dist[good])))
-        coarse = good & (dist <= (max(accept, eps) if case is CaseTag.DF_3_3_2 else accept))
-        got, _ = _exact_filter(spec, ks[coarse], ms[coarse], dist[coarse], None)
-        kept.extend(got)
-    kept = sorted({(k, m): (k, m, d) for k, m, d in kept}.values())
-    if case is CaseTag.DF_3_3_1:
-        kept = [t for t in kept if abs(coeffs(spec, t[0], t[1]).B_km) <= eps
-                and abs(coeffs(spec, t[0], t[1]).A_km) > 1.0]
-    else:
-        kept = [t for t in kept if abs(coeffs(spec, t[0], t[1]).A_km) > 1.0]
-    return _assemble(
-        spec, moduli, case, kept, eps, target,
-        {"q1": q1, "p1": p1, "q2": q2, "p2": p2}, alpha_ref, best_d,
-        min_pairs, case.value,
-    )
+        for w in map(float, np.linspace(0.0, 1.0, 41, endpoint=False))
+        if quant_margin(spec, TWO_PI * w) > quant_bound(spec.delta)
+    ]
+    return _Line(profiles, _df_line_lattice(s, q2, q1, p2, p1), n_scan=2048, per_profile=2,
+                 bound_b=False, floor=s.eps)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+#: the kernel of each case tag and the builder of its parameter block
+_SEARCHES: dict[CaseTag, tuple[Callable[[_Search, Any], PairSequence], Callable[[_Search], Any]]] = {
+    CaseTag.SF_1: (_residue_lattice, _sf_residue_block),
+    CaseTag.DF_1: (_residue_lattice, _df_residue_block),
+    CaseTag.SF_3: (_band_scan, _sf_band_block),
+    CaseTag.DF_2_1: (_band_scan, _df_band_block),
+    CaseTag.DF_3_1: (_band_scan, _df_grid_block),
+    CaseTag.DF_3_2: (_band_scan, _df_plane_block),
+    CaseTag.SF_2: (_line_lattice, _sf_line_block),
+    CaseTag.DF_2_2: (_line_lattice, _df_tilted_block),
+    CaseTag.DF_3_3_1: (_line_lattice, _df_line_block),
+    CaseTag.DF_3_3_2: (_line_lattice, _df_line_block),
+}
+
 
 def search_pairs(
     spec: CycleSpec,
@@ -1143,9 +1068,10 @@ def search_pairs(
     residue-class cases.  An unconstrained search (eps = inf) returns the
     first admissible pairs in the window.
     """
-    window = window or SearchWindow()
+    s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, band,
+                scan_halfwidth, residue_rank)
     if math.isinf(eps):
-        return _first_admissible(spec, moduli, case, window, min_pairs)
+        return _first_admissible(s)
     if kind not in (None, "cs", "cu"):
         raise DomainError("kind must be 'cs', 'cu', or None")
     sf = spec.is_saddle_focus
@@ -1153,59 +1079,39 @@ def search_pairs(
         raise NotApplicable("saddle-focus case tag with a double-focus spec")
     if case.value.startswith("DF") and sf:
         raise NotApplicable("double-focus case tag with a saddle-focus spec")
-
-    if case is CaseTag.SF_1:
-        return _sf1(spec, moduli, eps, window, kind, min_pairs, residue_rank)
-    if case is CaseTag.SF_2:
-        return _sf2(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth)
-    if case is CaseTag.SF_3:
-        return _sf3(spec, moduli, eps, window, kind, min_pairs, band)
-    if case is CaseTag.DF_1:
-        return _df1(spec, moduli, eps, window, kind, min_pairs, residue_rank)
-    if case is CaseTag.DF_2_1:
-        if moduli.is_rational("omega1") and not moduli.is_rational("omega2"):
-            raise NotApplicable(
-                "mirrored double-focus search (omega1 rational, omega2 irrational) "
-                "requires the inverse-cycle return maps"
-            )
-        return _df21(spec, moduli, eps, window, kind, min_pairs, band)
-    if case is CaseTag.DF_2_2:
-        if moduli.is_rational("omega1") and not moduli.is_rational("omega2"):
-            raise NotApplicable(
-                "mirrored double-focus search (omega1 rational, omega2 irrational) "
-                "requires the inverse-cycle return maps"
-            )
-        return _df22(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth)
-    if case is CaseTag.DF_3_1:
-        return _df31(spec, moduli, eps, window, kind, min_pairs, band)
-    if case is CaseTag.DF_3_2:
-        return _df32(spec, moduli, eps, window, kind, min_pairs, band)
-    if case in (CaseTag.DF_3_3_1, CaseTag.DF_3_3_2):
-        return _df33(spec, moduli, eps, window, kind, min_pairs, scan_halfwidth, case)
-    raise NotApplicable(f"no pair search for case {case.value}")
+    if case in (CaseTag.DF_2_1, CaseTag.DF_2_2) and (
+        moduli.is_rational("omega1") and not moduli.is_rational("omega2")
+    ):
+        raise NotApplicable(
+            "mirrored double-focus search (omega1 rational, omega2 irrational) "
+            "requires the inverse-cycle return maps"
+        )
+    if case not in _SEARCHES:
+        raise NotApplicable(f"no pair search for case {case.value}")
+    kernel, block = _SEARCHES[case]
+    if kernel is _line_lattice and kind == "cs":
+        raise NotApplicable(f"{case.value} guarantees only a cu band")
+    return kernel(s, block(s))
 
 
-def _first_admissible(spec, moduli, case, window, min_pairs) -> PairSequence:
+def _first_admissible(s: _Search) -> PairSequence:
     """eps = inf: accept the first admissible pairs scanning k, best-m."""
-    theta = moduli.theta
-    kept: list[tuple[int, int, float]] = []
+    spec, window = s.spec, s.window
+    kept: list[_Kept] = []
     t0 = 0.0
     if spec.is_saddle_focus:
         bu = spec.b_coef * spec.u_scalar
         t0 = math.log(max(abs(bu) / spec.B_coef, 1e-6)) / math.log(abs(spec.gamma))
     for k in range(max(window.k_min, 1), window.k_max + 1):
-        m = max(int(round(t0 + theta * k)), max(window.m_min, 1))
+        m = max(int(round(t0 + s.moduli.theta * k)), max(window.m_min, 1))
         if m > window.m_max:
             continue
         rc = coeffs(spec, k, m)
         if rc.admissible:
-            kept.append((k, m, 0.0))
-            if len(kept) >= max(min_pairs, 1):
+            kept.append((k, m, 0.0, rc))
+            if len(kept) >= max(s.min_pairs, 1):
                 break
-    return _assemble(
-        spec, moduli, case, kept, math.inf, None, {}, None,
-        0.0 if kept else math.inf, min_pairs, f"{case.value} (unconstrained)",
-    )
+    return _assemble(s, kept, 0.0 if kept else math.inf, f"{s.what} (unconstrained)")
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,6 @@ class BlenderCertificate:
             return a, b
         return 1.0 / a, -b / a
 
-    def witness_images(self) -> list[tuple[int, float, float]]:
-        return [(w.n, w.interval[0], w.interval[1]) for w in self.witness]
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "blender_kind": self.blender_kind,

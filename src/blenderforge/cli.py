@@ -171,9 +171,8 @@ def _cmd_check_a2(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
     return {"witnesses": [w for w in wits]}
 
 
-def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli,
+def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag,
             kind: str | None = None, residue_rank: int = 0) -> arithmetic.PairSequence:
-    case = cycle_model.classify_case(moduli, spec)
     return arithmetic.search_pairs(
         spec, moduli, case,
         eps=config.knob("eps", 1e-3),
@@ -184,15 +183,20 @@ def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli,
     )
 
 
+#: cases whose search reads `residue_rank`; any other search ignores it
+_RESIDUE_CASES = {CaseTag.SF_1, CaseTag.DF_1}
+
+
 def _search_and_certify(
-    config: RunConfig, spec: CycleSpec, moduli: Moduli, kind: str | None
+    config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag, kind: str | None
 ) -> tuple[arithmetic.PairSequence, blender_certifier.BlenderCertificate]:
-    """Certify the searched pairs, falling back through residue ranks when a
-    residue's band is too strong for its pair density to cover."""
+    """Certify the searched pairs, falling back through residue ranks (in the
+    residue cases) when a residue's band is too strong for its pair density
+    to cover."""
     last_exc: Exception | None = None
-    for rank in range(8):
+    for rank in range(8 if case in _RESIDUE_CASES else 1):
         try:
-            seq = _search(config, spec, moduli, kind=kind, residue_rank=rank)
+            seq = _search(config, spec, moduli, case, kind=kind, residue_rank=rank)
         except WindowExhausted as exc:
             if rank == 0:
                 raise
@@ -213,7 +217,7 @@ def _search_and_certify(
 
 def _cmd_search_pairs(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
     moduli = _require_moduli(moduli)
-    seq = _search(config, spec, moduli)
+    seq = _search(config, spec, moduli, cycle_model.classify_case(moduli, spec))
     csv_path = config.knob("csv", None, str)
     if csv_path:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -223,13 +227,15 @@ def _cmd_search_pairs(config: RunConfig, spec: CycleSpec, moduli: Moduli | None)
 
 def _cmd_certify(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
     moduli = _require_moduli(moduli)
-    _, cert = _search_and_certify(config, spec, moduli, kind=None)
+    case = cycle_model.classify_case(moduli, spec)
+    _, cert = _search_and_certify(config, spec, moduli, case, kind=None)
     return {"certificate": cert}
 
 
 def _cmd_simulate_cover(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
     moduli = _require_moduli(moduli)
-    _, cert = _search_and_certify(config, spec, moduli, kind=None)
+    case = cycle_model.classify_case(moduli, spec)
+    _, cert = _search_and_certify(config, spec, moduli, case, kind=None)
     report = blender_certifier.simulate_covering(
         spec, cert,
         n_discs=config.knob("n_discs", 100, int),
@@ -354,7 +360,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
     certificates = []
     simulations = []
     for kind in kinds:
-        _, cert = _search_and_certify(config, spec, moduli, kind)
+        _, cert = _search_and_certify(config, spec, moduli, case, kind)
         sim = blender_certifier.simulate_covering(
             spec, cert,
             n_discs=config.knob("n_discs", 50, int),

@@ -1,63 +1,8 @@
-"""Continued fractions and exact rational helpers for the pair searches."""
+"""Small numeric helpers: integer-relation residuals and fractional parts."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterator
-
-
-def continued_fraction(x: float, max_terms: int = 64, eps: float = 1e-14) -> list[int]:
-    """Partial quotients of x >= 0 by the Euclidean algorithm, in floats.
-
-    Terms computed after the remainder drops below eps are unreliable and
-    are not emitted.
-    """
-    if x < 0:
-        raise ValueError("continued_fraction expects a nonnegative number")
-    terms: list[int] = []
-    for _ in range(max_terms):
-        a = math.floor(x)
-        terms.append(int(a))
-        rem = x - a
-        if rem < eps:
-            break
-        x = 1.0 / rem
-        if x > 1e15:  # remainder at float-noise level
-            break
-    return terms
-
-
-def convergents(x: float, max_den: int, max_terms: int = 64) -> list[Fraction]:
-    """Continued-fraction convergents of x with denominator <= max_den."""
-    out: list[Fraction] = []
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
-    for a in continued_fraction(x, max_terms=max_terms):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        if q > max_den:
-            break
-        out.append(Fraction(p, q))
-    return out
-
-
-def best_rational(x: float, max_den: int) -> Fraction:
-    """Best convergent of x with denominator <= max_den."""
-    cv = convergents(x, max_den)
-    if not cv:
-        raise ValueError("no convergent within the denominator bound")
-    return cv[-1]
-
-
-def exact_relation_residual(coeffs: dict[str, int], values: dict[str, Fraction]) -> Fraction:
-    """Exact residual of an integer relation over rational values."""
-    total = Fraction(0)
-    for key, c in coeffs.items():
-        if c == 0:
-            continue
-        total += c * values[key]
-    return total
 
 
 def relation_residual(coeffs: dict[str, int], values: dict[str, float]) -> float:
@@ -71,16 +16,3 @@ def frac(x: float) -> float:
     if y >= 1.0:  # guard against rounding at the top
         y -= 1.0
     return y
-
-
-def circle_distance(a: float, b: float) -> float:
-    """Distance between a and b on the unit circle R/Z."""
-    d = abs(frac(a) - frac(b))
-    return min(d, 1.0 - d)
-
-
-def rational_pairs_in_range(q: int) -> Iterator[tuple[int, int]]:
-    """Coprime (p, q) with 0 < p/q < 1/2, ascending in p."""
-    for p in range(1, (q - 1) // 2 + 1):
-        if math.gcd(p, q) == 1:
-            yield p, q

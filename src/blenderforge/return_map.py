@@ -43,6 +43,17 @@ FIXED_POINT_TOL = 1e-12
 # Coefficient formulas
 # ---------------------------------------------------------------------------
 
+def sign_period(spec: CycleSpec) -> int:
+    """Period in m of the sign of gamma^m: 2 when gamma < 0, else 1.  Searches
+    step m by it so that gamma^m keeps one sign."""
+    return 2 if spec.gamma < 0 else 1
+
+
+def power_sign(spec: CycleSpec, m: int) -> float:
+    """Sign of gamma^m: -1 exactly for gamma < 0 and odd m."""
+    return -1.0 if m % sign_period(spec) == 1 else 1.0
+
+
 def power_term(spec: CycleSpec, k: int, m: int) -> float:
     """lambda^k * gamma^m through logs; sign handled for negative gamma."""
     if k < 1 or m < 1:
@@ -50,8 +61,7 @@ def power_term(spec: CycleSpec, k: int, m: int) -> float:
     log_mag = k * math.log(spec.lam) + m * math.log(abs(spec.gamma))
     if log_mag > 700.0:
         raise DomainError("lambda^k * gamma^m overflows")
-    sign = -1.0 if (spec.gamma < 0 and m % 2 == 1) else 1.0
-    return sign * math.exp(log_mag)
+    return power_sign(spec, m) * math.exp(log_mag)
 
 
 def df_denominator(spec: CycleSpec, angle: float) -> float:
@@ -380,8 +390,7 @@ def build_model(
         elif log_mag > 700.0:
             raise DomainError("gamma^m overflows in the mu term; reduce m or mu")
         else:
-            sign = -1.0 if (spec.gamma < 0 and m % 2 == 1) else 1.0
-            mu_coef = sign * math.copysign(math.exp(log_mag), spec.b_coef)
+            mu_coef = power_sign(spec, m) * math.copysign(math.exp(log_mag), spec.b_coef)
     else:
         assert spec.eta3 is not None and spec.omega2 is not None
         # 2 / cos(m*omega2 + eta3) * lambda^k, the rank-1 slope of the mu term

@@ -29,7 +29,7 @@ from .arithmetic import SearchWindow, check_A1
 from .blender_certifier import BlenderCertificate, _simulate_disc
 from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
-from .return_map import coeffs
+from .return_map import coeffs, power_sign, sign_period
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +75,7 @@ def window_u(spec: CycleSpec, m: int, q: int) -> MuWindow:
     if log_g < EXP_FLOOR:
         raise DomainError("gamma^-m underflows; reduce m")
     mag = math.exp(log_g)
-    sign = -1.0 if (spec.gamma < 0 and m % 2 == 1) else 1.0
-    center = sign * mag * spec.u_scalar
+    center = power_sign(spec, m) * mag * spec.u_scalar
     radius = mag / abs(spec.b_coef) * q * spec.delta / 2.0
     return MuWindow("u_manifold", m, center, radius)
 
@@ -126,8 +125,7 @@ def gap_crosscheck(spec: CycleSpec, k: int, m: int, q: int) -> float:
     """The same gap evaluated through the coefficient identity,
     2|lambda^k gamma^m b^-1 B sin(k omega + eta2) - u^-| / (|b^-1| q delta)."""
     log_pow = k * math.log(spec.lam) + m * math.log(abs(spec.gamma))
-    sign = -1.0 if (spec.gamma < 0 and m % 2 == 1) else 1.0
-    power = sign * math.exp(log_pow)
+    power = power_sign(spec, m) * math.exp(log_pow)
     num = abs(power / spec.b_coef * spec.B_coef * math.sin(k * spec.omega1 + spec.eta2)
               - spec.u_scalar)
     return 2.0 * num / (q * spec.delta / abs(spec.b_coef))
@@ -194,7 +192,7 @@ def find_mu_sequence(
     log_g = math.log(abs(spec.gamma))
     bu = spec.b_coef * spec.u_scalar
     t_star = math.log(bu / (spec.B_coef * math.sin(r * spec.omega1 + spec.eta2))) / log_g
-    step = 2 if spec.gamma < 0 else 1
+    step = sign_period(spec)
 
     m_cap = int((-EXP_FLOOR - 10.0) / log_g)
     k_cap = int((-EXP_FLOOR - 10.0) / (-math.log(spec.lam)))

@@ -492,7 +492,12 @@ def _circle_gap(x: np.ndarray, centre: float) -> np.ndarray:
 
 
 def _root_scan(fn: Callable[[float], float], lo: float, hi: float, n: int) -> list[float]:
-    """All roots of fn on [lo, hi] located by sign changes plus bisection."""
+    """All roots of fn on [lo, hi] located by sign changes plus bisection.
+
+    A sign change across a pole bisects onto the pole, where |fn| ends up
+    above both bracket values (or undefined) instead of near zero; such
+    brackets are not roots.
+    """
     xs = np.linspace(lo, hi, n)
     vals = np.array([fn(float(x)) for x in xs])
     roots: list[float] = []
@@ -505,6 +510,7 @@ def _root_scan(fn: Callable[[float], float], lo: float, hi: float, n: int) -> li
             roots.append(a)
             continue
         if fa * fb < 0.0:
+            bound = max(abs(fa), abs(fb))
             for _ in range(80):
                 mid = 0.5 * (a + b)
                 fm = fn(mid)
@@ -512,7 +518,9 @@ def _root_scan(fn: Callable[[float], float], lo: float, hi: float, n: int) -> li
                     b = mid
                 else:
                     a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+            root = 0.5 * (a + b)
+            if abs(fn(root)) <= bound:
+                roots.append(root)
     return roots
 
 

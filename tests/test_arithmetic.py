@@ -1,14 +1,17 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blenderforge as bf
+from blenderforge import arithmetic
 from blenderforge.arithmetic import alpha_df, alpha_sf
 from conftest import W1_IRR, df_spec, rng_for, sf_spec
 
 TWO_PI = 2.0 * math.pi
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +332,21 @@ def test_sf2_pairs_expand(sf3_setup):
     assert len(seq.pairs) >= 5
     assert all(abs(a) > 1.0 for a in seq.A_values)
     assert all(abs(b) <= 1e-2 for b in seq.B_values)
+
+
+def test_root_scan_skips_poles():
+    # tan(pi x) changes sign across its pole at 1/2 and at its root 1
+    roots = arithmetic._root_scan(lambda x: math.tan(math.pi * x), 0.2, 1.3, 64)
+    assert len(roots) == 1
+    assert abs(roots[0] - 1.0) < 1e-12
+
+
+def test_line_profile_pole_is_not_a_target():
+    # the DF-3.3.1 line crosses poles of the wave denominator; a pole taken
+    # for a root made alpha_df raise PoleError out of the search
+    spec, moduli = bf.load_spec_document(str(DATA / "df_3_3_1_0.json"))
+    with pytest.raises(bf.WindowExhausted):
+        bf.search_pairs(spec, moduli, bf.CaseTag.DF_3_3_1)
 
 
 def test_sf3_band_sides(sf3_setup):

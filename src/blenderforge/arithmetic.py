@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
+from .cycle_model import CaseTag, CycleSpec, Moduli, TWO_PI
 from .diophantine import frac
 from .errors import DomainError, NotApplicable, PoleError, WindowExhausted
 from .return_map import (
@@ -466,6 +466,17 @@ def _theta_relation(s: _Search) -> list[Fraction]:
     if s.moduli.relation_for(keys) is None and s.moduli.is_rational("theta"):
         return [Fraction(0), s.moduli.rational("theta")]
     return _relation(s, keys, "theta")
+
+
+def _tilted_relation(s: _Search) -> tuple[int, int, int, int]:
+    """(p1, q1, p2, q2) of the theta relation of a double-focus line target,
+    which a rational theta (p1 = 0) degenerates."""
+    pq1, pq2 = _theta_relation(s)
+    if pq1 == 0:
+        raise WindowExhausted(
+            f"{s.what}: theta rational makes the tilted target degenerate", found=0
+        )
+    return pq1.numerator, pq1.denominator, pq2.numerator, pq2.denominator
 
 
 def _m_residues(
@@ -975,15 +986,9 @@ def _sf_line_block(s: _Search) -> _Line:
 def _df_tilted_block(s: _Search) -> _Line:
     """DF-2.2: one tilted line per admissible m-residue r2."""
     spec = s.spec
-    pq1, pq2 = _theta_relation(s)
-    p1, q1 = pq1.numerator, pq1.denominator
-    p2, q2 = pq2.numerator, pq2.denominator
+    p1, q1, p2, q2 = _tilted_relation(s)
     f3 = s.moduli.rational("omega2")
     q3, p3 = f3.denominator, f3.numerator
-    if p1 == 0:
-        raise WindowExhausted(
-            f"{s.what}: theta rational makes the tilted target degenerate", found=0
-        )
     lg = math.log(spec.gamma)
     profiles = []
     for r2, _, _, _ in _m_residues(spec, [(r2, TWO_PI * r2 * p3 / q3) for r2 in range(q3)]):
@@ -1004,13 +1009,7 @@ def _df_line_block(s: _Search) -> _Line:
     """DF-3.3.1: the line of both relations, w moving with s.  DF-3.3.2: w is
     free on the line plane, so one profile per horizontal w slice."""
     spec = s.spec
-    pq1, pq2 = _theta_relation(s)
-    p1, q1 = pq1.numerator, pq1.denominator
-    p2, q2 = pq2.numerator, pq2.denominator
-    if p1 == 0:
-        raise WindowExhausted(
-            f"{s.what}: theta rational makes the tilted target degenerate", found=0
-        )
+    p1, q1, p2, q2 = _tilted_relation(s)
     lg = math.log(spec.gamma)
     residue = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
     if s.case is CaseTag.DF_3_3_1:
@@ -1042,7 +1041,7 @@ def _df_line_block(s: _Search) -> _Line:
 # ---------------------------------------------------------------------------
 
 #: the kernel of each case tag and the builder of its parameter block
-_SEARCHES: dict[CaseTag, tuple[Callable[[_Search, Any], PairSequence], Callable[[_Search], Any]]] = {
+_SEARCHES: dict[CaseTag, tuple[Callable[..., PairSequence], Callable[[_Search], Any]]] = {
     CaseTag.SF_1: (_residue_lattice, _sf_residue_block),
     CaseTag.DF_1: (_residue_lattice, _df_residue_block),
     CaseTag.SF_3: (_band_scan, _sf_band_block),

@@ -29,7 +29,7 @@ from .arithmetic import SearchWindow, check_A1
 from .blender_certifier import BlenderCertificate, _simulate_disc
 from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
-from .return_map import coeffs, power_sign, sign_period
+from .return_map import power_sign, sign_period
 
 log = logging.getLogger(__name__)
 

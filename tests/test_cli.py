@@ -76,6 +76,17 @@ SEARCH_CASES = {
 }
 #: documents of the `pipeline` goldens; --workers 1 and 2 share one golden
 PIPELINE_DOCS = ("sf_1_0", "sf_1_1", "sf_3_0", "sf_3_1", "df_1_0", "df_1_2", "df_2_1_0", "df_2_1_1")
+#: command, document and --set overrides of the goldens that exercise disc
+#: simulation beyond the default pipeline: `unfold=1` verifies crossings in
+#: `homoclinic_report` (one sf_1_0 crossing reads verified: false), sf_3_1
+#: runs activation both ways and sf_2_0 certifies the cu side only
+SIMULATION_CASES = {
+    "pipeline_sf_1_0_unfold": ("pipeline", "sf_1_0", {"unfold": "1"}),
+    "pipeline_sf_1_1_unfold": ("pipeline", "sf_1_1", {"unfold": "1"}),
+    "pipeline_sf_3_1_eps1e-2": ("pipeline", "sf_3_1", {"eps": "1e-2"}),
+    "pipeline_sf_2_0_eps1e-2": ("pipeline", "sf_2_0", {"eps": "1e-2"}),
+    "simulate_cover_sf_1_0": ("simulate-cover", "sf_1_0", {}),
+}
 
 #: exit status of each payload's error stage (None: no error)
 EXIT_STATUS = {None: 0, "load": 1, "run": 1, "search": 2, "certify": 3}
@@ -102,3 +113,10 @@ def test_search_pairs_golden(name, tmp_path, capsys):
 @pytest.mark.parametrize("doc", PIPELINE_DOCS)
 def test_pipeline_golden(doc, workers, tmp_path, capsys):
     _run_golden("pipeline", doc, {}, f"pipeline_{doc}", tmp_path, capsys, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(SIMULATION_CASES))
+def test_simulation_golden(name, workers, tmp_path, capsys):
+    command, doc, overrides = SIMULATION_CASES[name]
+    _run_golden(command, doc, overrides, name, tmp_path, capsys, workers=workers)

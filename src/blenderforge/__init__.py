@@ -57,7 +57,6 @@ from .errors import (
     NotRational,
     OutsideWindows,
     PoleError,
-    SimulationFailure,
     WindowExhausted,
 )
 from .return_map import (
@@ -99,8 +98,7 @@ __all__ = [
     "Moduli", "MuPoint", "MuWindow", "NoImageInCube", "NonConvergence",
     "NotApplicable", "NotRational", "OutsideWindows", "PairSequence",
     "PointInCube", "PoleError", "RationalClass", "RelationReport",
-    "ResidueWitness", "ReturnCoeffs", "SearchWindow", "SimulationFailure",
-    "TorusTarget", "TruncationRanges", "ValidationReport", "WindowExhausted",
+    "ResidueWitness", "ReturnCoeffs", "SearchWindow", "TorusTarget", "TruncationRanges", "ValidationReport", "WindowExhausted",
     "brute_scan", "build_model", "certify", "check_A1", "check_A2",
     "check_activation", "classify_case", "coeffs", "compute_theta",
     "eval_gh", "exclusion_elements", "exclusion_sets", "find_mu_sequence",

@@ -13,15 +13,14 @@ sampled discs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .arithmetic import PairSequence
 from .cycle_model import CycleSpec
-from .errors import BandViolation, CoverageGap, KindMismatch, SimulationFailure
+from .errors import BandViolation, CoverageGap, KindMismatch
 from .rng import philox_rng
 
 BAND_TOL = 1e-9
@@ -87,13 +86,8 @@ class BlenderCertificate:
         return self.activating_cube.x_center
 
     def effective_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Contracting system (alpha_n, beta_n): the forward maps for a cs
-        certificate, their inverses for a cu certificate."""
-        a = np.asarray(self.A_values)
-        b = np.asarray(self.B_values)
-        if self.blender_kind == "cs":
-            return a, b
-        return 1.0 / a, -b / a
+        """Contracting system (alpha_n, beta_n) of the certificate's band."""
+        return _contracting_maps(self.A_values, self.B_values, self.blender_kind)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -144,6 +138,18 @@ class BlenderCertificate:
 # ---------------------------------------------------------------------------
 # Chain covering
 # ---------------------------------------------------------------------------
+
+def _contracting_maps(
+    a_values: Sequence[float], b_values: Sequence[float], kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contracting system (alpha_n, beta_n): the forward maps x -> A*x + B
+    for a cs band, their inverses (1/A, -B/A) for a cu band."""
+    a = np.asarray(a_values, dtype=float)
+    b = np.asarray(b_values, dtype=float)
+    if kind == "cs":
+        return a, b
+    return 1.0 / a, -b / a
+
 
 def _affine_images(
     alphas: np.ndarray, betas: np.ndarray, lo: float, hi: float
@@ -229,36 +235,14 @@ def _band(a_values: Sequence[float]) -> tuple[str, float, float]:
     )
 
 
-def default_overlap_min(a_values: Sequence[float], kind: str, c: float, delta: float) -> float:
-    """0.1*c*delta, capped at half the smallest effective image width so the
-    requirement stays attainable for strongly contracting bands."""
-    mags = [abs(a) for a in a_values]
-    eff_min = min(mags) if kind == "cs" else 1.0 / max(mags)
-    return c * delta * min(0.1, eff_min)
-
-
-def _try_cover(
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    kind: str,
-    center: float,
-    c: float,
-    delta: float,
-    overlap_min: float | None,
-) -> tuple[list[int], list[float | None], float, float] | None:
-    half = c * delta
-    omin = default_overlap_min(alphas.tolist(), kind, c, delta) \
-        if overlap_min is None else overlap_min
-    nu = omin / 2.0
-    if kind == "cs":
-        eff_a, eff_b = alphas, betas
-    else:
-        eff_a, eff_b = 1.0 / alphas, -betas / alphas
-    images = _affine_images(eff_a, eff_b, center - half, center + half)
-    chain, overlaps = chain_cover(images, center - half - nu, center + half + nu, omin)
-    if chain is None:
-        return None
-    return chain, overlaps, omin, nu
+class _Cover(NamedTuple):
+    """One cover attempt at a fixed c: the images of I, then either the
+    chain and its overlaps or (chain None) the uncovered gap."""
+    images: list[tuple[float, float]]
+    chain: list[int] | None
+    overlaps: list[float | None]
+    gap: tuple[float, float] | None
+    overlap_min: float
 
 
 def certify(
@@ -279,34 +263,39 @@ def certify(
     if not pairs.pairs:
         raise CoverageGap("empty pair set", uncovered=None)
     kind, lo, hi = _band(pairs.A_values)
-    alphas = np.asarray(pairs.A_values, dtype=float)
-    betas = np.asarray(pairs.B_values, dtype=float)
+    eff_a, eff_b = _contracting_maps(pairs.A_values, pairs.B_values, kind)
+    # the default overlap 0.1*c*delta is capped at half the smallest effective
+    # image width, so it stays attainable for strongly contracting bands
+    eff_min = lo if kind == "cs" else 1.0 / hi
     delta = spec.delta
 
+    def attempt(c_try: float) -> _Cover:
+        half = c_try * delta
+        omin = c_try * delta * min(0.1, eff_min) if overlap_min is None else overlap_min
+        nu = omin / 2.0
+        images = _affine_images(eff_a, eff_b, center - half, center + half)
+        chain, found = chain_cover(images, center - half - nu, center + half + nu, omin)
+        if chain is None:
+            return _Cover(images, None, [], found, omin)
+        return _Cover(images, chain, found, None, omin)
+
     if c is not None:
-        result = _try_cover(alphas, betas, kind, center, c, delta, overlap_min)
-        if result is None:
-            eff = (alphas, betas) if kind == "cs" else (1.0 / alphas, -betas / alphas)
-            images = _affine_images(eff[0], eff[1], center - c * delta, center + c * delta)
-            omin = default_overlap_min(alphas.tolist(), kind, c, delta) \
-                if overlap_min is None else overlap_min
-            _, gap = chain_cover(
-                images, center - c * delta - omin / 2, center + c * delta + omin / 2, omin
-            )
+        cover = attempt(c)
+        if cover.chain is None:
             raise CoverageGap(
                 f"images do not cover a neighborhood of I at c={c!r}",
-                uncovered=gap if isinstance(gap, tuple) else None,
+                uncovered=cover.gap,
             )
         c_used = c
     else:
         c_try = spec.c_frac
-        result = None
+        cover = None
         while c_try > AUTO_SHRINK_FLOOR:
-            result = _try_cover(alphas, betas, kind, center, c_try, delta, overlap_min)
-            if result is not None:
+            cover = attempt(c_try)
+            if cover.chain is not None:
                 break
             c_try *= AUTO_SHRINK_FACTOR
-        if result is None:
+        if cover is None or cover.chain is None:
             raise CoverageGap(
                 "no interval size admits a covering chain", uncovered=None
             )
@@ -315,23 +304,18 @@ def certify(
         c_hi = min(spec.c_frac, c_try / AUTO_SHRINK_FACTOR)
         for _ in range(50):
             mid = 0.5 * (c_lo + c_hi)
-            r = _try_cover(alphas, betas, kind, center, mid, delta, overlap_min)
-            if r is not None:
-                c_lo, result = mid, r
+            trial = attempt(mid)
+            if trial.chain is not None:
+                c_lo, cover = mid, trial
             else:
                 c_hi = mid
         c_used = c_lo
 
-    chain, overlaps, omin, nu = result
+    omin = cover.overlap_min
     half = c_used * delta
-    if kind == "cs":
-        eff_a, eff_b = alphas, betas
-    else:
-        eff_a, eff_b = 1.0 / alphas, -betas / alphas
-    images = _affine_images(eff_a, eff_b, center - half, center + half)
     witness = tuple(
-        WitnessEntry(n=i, interval=images[i], overlap=o)
-        for i, o in zip(chain, overlaps)
+        WitnessEntry(n=i, interval=cover.images[i], overlap=o)
+        for i, o in zip(cover.chain, cover.overlaps)
     )
     K = cone_K if cone_K is not None else min(0.1, omin / (4.0 * delta))
     cube = ActivatingCube(
@@ -352,7 +336,7 @@ def certify(
         cone_K=K,
         activating_cube=cube,
         overlap_min=omin,
-        neighborhood_margin=nu,
+        neighborhood_margin=omin / 2.0,
     )
 
 
@@ -434,73 +418,85 @@ class CoveringSimReport:
         }
 
 
-def _disc_rng(seed: int, index: int) -> np.random.Generator:
-    return philox_rng(seed, index)
-
-
-def _simulate_disc(
+def _pull_back(
     cert: BlenderCertificate,
-    index: int,
     seed: int,
+    indices: Sequence[int],
     depth: int,
-    x_center: float | None = None,
+    x_centers: Sequence[float] | None = None,
     x_extent: float | None = None,
-) -> DiscRecord:
-    """Pull one sampled disc through the witness chain to the given depth.
+) -> list[DiscRecord]:
+    """Pull sampled discs through the witness chain to the given depth, all
+    discs of the call at once.
 
-    The disc is a graph over the cone block with X-range [center - e/2,
-    center + e/2]; after the first pullback the strong contraction collapses
-    it to its anchor point, so later steps track interval membership of a
-    single X value.  Step factors are measured widths of the raw affine
-    images, i.e. the central multiplier magnitudes.
+    Disc i draws its X-center (unless `x_centers` fixes it) and its phase
+    from `philox_rng(seed, i)`.  The disc is a graph over the cone block
+    with X-range [center - e/2, center + e/2]; after the first pullback the
+    strong contraction collapses it to its anchor point, so later steps
+    track interval membership of a single X value.  Each step takes the
+    first witness of largest containment margin (a NaN margin counts as
+    -inf); a disc whose best margin is negative stops there.  Step factors
+    are measured widths of the raw affine images, i.e. the central
+    multiplier magnitudes.
     """
-    rng = _disc_rng(seed, index)
     lo_i, hi_i = cert.interval_I
     extent = cert.overlap_min / 2.0 if x_extent is None else x_extent
-    if x_center is None:
-        pad = extent / 2.0
-        if lo_i + pad < hi_i - pad:
-            x_center = float(rng.uniform(lo_i + pad, hi_i - pad))
+    amp = pad = extent / 2.0
+    centers, anchors = [], []
+    for j, i in enumerate(indices):
+        rng = philox_rng(seed, i)
+        if x_centers is not None:
+            center = x_centers[j]
+        elif lo_i + pad < hi_i - pad:
+            center = float(rng.uniform(lo_i + pad, hi_i - pad))
         else:  # disc wider than the interval; center it and let the chain judge
-            x_center = 0.5 * (lo_i + hi_i)
-    amp = extent / 2.0
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    anchor = x_center + amp * math.sin(phase)
+            center = 0.5 * (lo_i + hi_i)
+        centers.append(center)
+        anchors.append(center + amp * math.sin(float(rng.uniform(0.0, 2.0 * math.pi))))
 
     eff_a, eff_b = cert.effective_maps()
-    images = {w.n: w.interval for w in cert.witness}
-    raw_a = np.asarray(cert.A_values)
+    wit_n = np.array([w.n for w in cert.witness], dtype=int)
+    wit_lo = np.array([w.interval[0] for w in cert.witness], dtype=float)
+    wit_hi = np.array([w.interval[1] for w in cert.witness], dtype=float)
+    n_discs = len(centers)
+    taken = np.zeros((n_discs, depth), dtype=int)   # witness index per step
+    fail_step: list[int | None] = [None] * n_discs
+    notes = [""] * n_discs
 
-    steps: list[int] = []
-    factors: list[float] = []
-    x_lo, x_hi = x_center - amp, x_center + amp
-    x_point = anchor
+    alive = np.arange(n_discs)
+    x_point = np.asarray(anchors, dtype=float)
+    x_lo = np.asarray(centers, dtype=float) - amp
+    x_hi = np.asarray(centers, dtype=float) + amp
     for step in range(1, depth + 1):
-        best_n, best_margin = None, -math.inf
-        for n, (ilo, ihi) in images.items():
-            margin = min(x_lo - ilo, ihi - x_hi)
-            if margin > best_margin:
-                best_n, best_margin = n, margin
-        if best_n is None or best_margin < 0.0:
-            return DiscRecord(
-                index=index, x_center=x_center, x_extent=extent, ok=False,
-                fail_step=step, steps=tuple(steps), step_factors=tuple(factors),
-                note=(
-                    f"X-range [{x_lo!r}, {x_hi!r}] exceeds every witness image; "
-                    f"best containment margin {best_margin!r} < 0 "
-                    f"(extent above the overlap guarantee)"
-                ),
+        margin = np.minimum(x_lo[:, None] - wit_lo, wit_hi - x_hi[:, None])
+        margin[np.isnan(margin)] = -np.inf
+        best = np.argmax(margin, axis=1)
+        best_margin = margin[np.arange(alive.size), best]
+        keep = best_margin >= 0.0
+        for j in np.flatnonzero(~keep).tolist():
+            fail_step[alive[j]] = step
+            notes[alive[j]] = (
+                f"X-range [{float(x_lo[j])!r}, {float(x_hi[j])!r}] exceeds every "
+                f"witness image; best containment margin {float(best_margin[j])!r} < 0 "
+                f"(extent above the overlap guarantee)"
             )
-        a, b = float(eff_a[best_n]), float(eff_b[best_n])
-        x_point = (x_point - b) / a
+        alive, n_sel = alive[keep], wit_n[best[keep]]
+        taken[alive, step - 1] = n_sel
+        x_point = (x_point[keep] - eff_b[n_sel]) / eff_a[n_sel]
         # strong transverse contraction collapses the pulled-back disc
         x_lo = x_hi = x_point
-        steps.append(best_n)
-        factors.append(abs(float(raw_a[best_n])))
-    return DiscRecord(
-        index=index, x_center=x_center, x_extent=extent, ok=True,
-        fail_step=None, steps=tuple(steps), step_factors=tuple(factors),
-    )
+
+    abs_a = np.abs(np.asarray(cert.A_values, dtype=float))
+    records = []
+    for j, (index, row) in enumerate(zip(indices, taken.tolist())):
+        n_steps = depth if fail_step[j] is None else fail_step[j] - 1
+        steps = row[:n_steps]
+        records.append(DiscRecord(
+            index=index, x_center=centers[j], x_extent=extent, ok=fail_step[j] is None,
+            fail_step=fail_step[j], steps=tuple(steps),
+            step_factors=tuple(abs_a[steps].tolist()), note=notes[j],
+        ))
+    return records
 
 
 def simulate_covering(
@@ -509,43 +505,23 @@ def simulate_covering(
     n_discs: int,
     seed: int,
     depth: int,
-    workers: int = 1,
-    raise_on_failure: bool = False,
 ) -> CoveringSimReport:
     """Sample discs crossing the activating cube and run the pullback chain.
 
-    Results are deterministic in (seed, disc index) and independent of the
-    worker count; records are merged in disc order.
+    Results are deterministic in (seed, disc index); records come in disc
+    order.
     """
     del spec  # geometry comes from the certificate
-
-    def run(i: int) -> DiscRecord:
-        return _simulate_disc(cert, i, seed, depth)
-
-    if workers <= 1:
-        records = [run(i) for i in range(n_discs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, range(n_discs)))
-    records.sort(key=lambda r: r.index)
-    survivors = sum(1 for r in records if r.ok)
+    records = _pull_back(cert, seed, range(n_discs), depth)
     all_factors = [f for r in records for f in r.step_factors]
-    report = CoveringSimReport(
+    return CoveringSimReport(
         n_discs=n_discs,
         depth=depth,
-        survivors=survivors,
+        survivors=sum(1 for r in records if r.ok),
         per_disc=tuple(records),
         step_factor_min=min(all_factors) if all_factors else math.nan,
         step_factor_max=max(all_factors) if all_factors else math.nan,
     )
-    if raise_on_failure and not report.all_ok:
-        first = next(r for r in records if not r.ok)
-        raise SimulationFailure(
-            f"disc {first.index} uncovered at depth {first.fail_step}",
-            disc_index=first.index,
-            depth=first.fail_step,
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +599,14 @@ def check_activation(
 
     def direction(src: BlenderCertificate, dst: BlenderCertificate,
                   salt: int) -> tuple[int, str]:
-        rng = _disc_rng(seed, salt)
-        points = _attractor_points(src, n_discs, rng)
-        extent = dst.overlap_min / 2.0
-        ok = 0
-        diag = ""
-        for i, x in enumerate(points):
-            rec = _simulate_disc(dst, i, seed + salt, depth,
-                                 x_center=x, x_extent=extent)
-            if rec.ok:
-                ok += 1
-            elif not diag:
-                diag = (
-                    f"disc at X={x!r} from the {src.blender_kind} set misses the "
-                    f"{dst.blender_kind} covering: {rec.note}"
-                )
-        return ok, diag
+        points = _attractor_points(src, n_discs, philox_rng(seed, salt))
+        records = _pull_back(dst, seed + salt, range(n_discs), depth, x_centers=points)
+        missed = next((r for r in records if not r.ok), None)
+        diag = "" if missed is None else (
+            f"disc at X={missed.x_center!r} from the {src.blender_kind} set misses the "
+            f"{dst.blender_kind} covering: {missed.note}"
+        )
+        return sum(1 for r in records if r.ok), diag
 
     a_ok, diag_ab = direction(cert_a, cert_b, salt=1)
     b_ok, diag_ba = direction(cert_b, cert_a, salt=2)

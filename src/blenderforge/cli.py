@@ -5,7 +5,8 @@ Every command reads a JSON document holding the coefficient record (and a
 `moduli` block where the command needs declared arithmetic), applies
 `--set key=value` overrides, and emits one canonical JSON object with a
 schema tag.  Identical (spec, seed, overrides) inputs produce byte-identical
-output regardless of the worker count.
+output.  `--workers` is accepted for compatibility; every command runs in
+one thread, and the flag changes neither the work done nor the output.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class RunConfig:
     overrides: dict[str, str] = field(default_factory=dict)
     seed: int = 0
     out_path: str | None = None
-    workers: int = 1
+    workers: int = 1    # kept for callers that pass it; nothing reads it
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
@@ -241,7 +242,6 @@ def _cmd_simulate_cover(config: RunConfig, spec: CycleSpec, moduli: Moduli | Non
         n_discs=config.knob("n_discs", 100, int),
         seed=config.seed,
         depth=config.knob("depth", 30, int),
-        workers=config.workers,
     )
     return {"certificate": cert, "simulation": report}
 
@@ -366,7 +366,6 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
             n_discs=config.knob("n_discs", 50, int),
             seed=config.seed,
             depth=config.knob("depth", 20, int),
-            workers=config.workers,
         )
         certificates.append(cert)
         simulations.append(sim)
@@ -444,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="path to the spec JSON document")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="also write the JSON payload here")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; changes neither the work done nor the output",
+    )
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[],
         metavar="KEY=VALUE", help="override a spec field or command knob",

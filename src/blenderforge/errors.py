@@ -52,15 +52,6 @@ class KindMismatch(BlenderForgeError):
     """Activation check requires one cs and one cu certificate."""
 
 
-class SimulationFailure(BlenderForgeError):
-    """A sampled disc ran out of covering maps during pullback."""
-
-    def __init__(self, message: str, disc_index: int | None = None, depth: int | None = None):
-        super().__init__(message)
-        self.disc_index = disc_index
-        self.depth = depth
-
-
 class NoImageInCube(BlenderForgeError):
     """The cross-form image of a point leaves the model cube."""
 

@@ -41,13 +41,9 @@ class TruncationRanges:
 # Residue coefficient packs
 # ---------------------------------------------------------------------------
 
-def _sf_pack(spec: CycleSpec, q: int, p: int, angle_convention: str) -> dict[str, np.ndarray]:
+def _sf_pack(spec: CycleSpec, q: int, p: int) -> dict[str, np.ndarray]:
     """Per-residue (a_r, x+_r) with a_r*b = A*sin(.+eta1), a_r*x+_r*b = B*sin(.+eta2)."""
-    rs = np.arange(q)
-    if angle_convention == "k_omega":
-        ang = rs * TWO_PI * p / q
-    else:
-        ang = TWO_PI * rs.astype(float)
+    ang = np.arange(q) * TWO_PI * p / q
     s1 = np.sin(ang + spec.eta1)
     s2 = np.sin(ang + spec.eta2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,7 +270,6 @@ def exclusion_sets(
     moduli: Moduli,
     trunc: TruncationRanges | None = None,
     zero_tol: float = 1e-9,
-    angle_convention: str = "k_omega",
 ) -> ExclusionReport:
     """Distances of the coefficient ratios to the truncated exclusion sets,
     plus feasibility of the angle offsets at every residue.
@@ -308,7 +303,7 @@ def exclusion_sets(
     q1, p1 = f1.denominator, f1.numerator
 
     if spec.is_saddle_focus:
-        pack = _sf_pack(spec, q1, p1, angle_convention)
+        pack = _sf_pack(spec, q1, p1)
         s1, s2 = pack["s1"], pack["s2"]
         eta_ok = {
             "eta1": bool(np.min(np.abs(s1)) > zero_tol),
@@ -388,9 +383,8 @@ class _SfTables:
     standing for the orbit segments that stay on the local manifolds.
     """
 
-    def __init__(self, spec: CycleSpec, q: int, p: int, k_max: int, m_max: int,
-                 angle_convention: str):
-        pack = _sf_pack(spec, q, p, angle_convention)
+    def __init__(self, spec: CycleSpec, q: int, p: int, k_max: int, m_max: int):
+        pack = _sf_pack(spec, q, p)
         a = pack["a"]
         ks = np.arange(1, k_max + 1)
         ms = np.arange(1, m_max + 1)
@@ -711,7 +705,6 @@ def brute_scan(
     ranges: tuple[int, int] = (40, 40),
     grid: int = 9,
     tol: float = 1e-6,
-    angle_convention: str = "k_omega",
 ) -> BruteScanResult:
     """Exhaustive two-pair scan over k, m <= ranges plus infinite indices.
 
@@ -744,7 +737,7 @@ def brute_scan(
         )
 
     if spec.is_saddle_focus:
-        tables: Any = _SfTables(spec, q1, p1, k_max, m_max, angle_convention)
+        tables: Any = _SfTables(spec, q1, p1, k_max, m_max)
         solutions.extend(_sharing_witnesses_sf(tables, grid_vals, tol))
         tuples = _prefilter_tuples(*tables.intervals(), tol)
     else:

@@ -3,13 +3,10 @@ cross the activating cube, and parameter sequences realizing robust
 heterodimensional dynamics.
 
 Window centers and radii follow the residue formulas of the unfolding
-analysis.  Two conventions are exposed as flags because the source displays
-disagree between themselves:
+analysis, with the trigonometric factors evaluated at k*omega + eta like
+every other coefficient formula.  One convention is exposed as a flag
+because the source displays disagree between themselves:
 
-* ``angle_convention``: "k_omega" evaluates the trigonometric factors at
-  k*omega + eta (the convention every other coefficient formula uses);
-  "two_pi_r" evaluates them at 2*pi*r + eta with r = k mod q, the literal
-  residue form.
 * ``orientation``: "literal" places the s-window center at
   -lambda^k*b^-1*B*sin(.); "matched" flips its sign, which is the unique
   orientation under which the u- and s-windows share a mu-axis direction,
@@ -22,12 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .arithmetic import SearchWindow, check_A1
-from .blender_certifier import BlenderCertificate, _simulate_disc
-from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
+from .blender_certifier import BlenderCertificate, _pull_back
+from .cycle_model import CaseTag, CycleSpec, Moduli
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
 from .return_map import power_sign, sign_period
 
@@ -84,7 +81,6 @@ def window_s(
     spec: CycleSpec,
     k: int,
     q: int,
-    angle_convention: str = "k_omega",
     orientation: str = "literal",
 ) -> MuWindow:
     """Window of mu values for which the pulled-back strong-stable disc
@@ -94,12 +90,7 @@ def window_s(
         raise DomainError("k must be >= 1")
     if not spec.is_saddle_focus:
         raise NotApplicable("mu windows are computed for saddle_focus cycles")
-    if angle_convention == "k_omega":
-        angle = k * spec.omega1
-    elif angle_convention == "two_pi_r":
-        angle = TWO_PI * (k % q)
-    else:
-        raise DomainError("angle_convention must be 'k_omega' or 'two_pi_r'")
+    angle = k * spec.omega1
     log_l = k * math.log(spec.lam)
     if log_l < EXP_FLOOR:
         raise DomainError("lambda^k underflows; reduce k")
@@ -158,7 +149,6 @@ def find_mu_sequence(
     moduli: Moduli,
     window_count: int,
     window: SearchWindow | None = None,
-    angle_convention: str = "k_omega",
 ) -> list[MuPoint]:
     """Locate pairs whose u- and s-windows intersect and report the
     intersection midpoints, with strictly decreasing normalized gap.
@@ -213,7 +203,7 @@ def find_mu_sequence(
         m = step * round(ideal / step)
         if m < max(window.m_min, 1) or m > min(window.m_max, m_cap):
             continue
-        ws = window_s(spec, k, q, angle_convention, orientation="matched")
+        ws = window_s(spec, k, q, orientation="matched")
         if ws.degenerate:
             log.info("skipping degenerate s-window at k=%d", k)
             continue
@@ -282,7 +272,7 @@ class RelationReport:
 
 
 def _find_window_hits(
-    spec: CycleSpec, mu: float, q: int, angle_convention: str
+    spec: CycleSpec, mu: float, q: int
 ) -> tuple[MuWindow | None, MuWindow | None]:
     """Windows containing mu, located by inverting the center magnitudes."""
     hit_u = hit_s = None
@@ -300,9 +290,7 @@ def _find_window_hits(
     if mu != 0.0:
         lam_l = math.log(spec.lam)
         for r in range(q):
-            s2 = math.sin(r * spec.omega1 + spec.eta2) if angle_convention == "k_omega" \
-                else math.sin(TWO_PI * r + spec.eta2)
-            c1 = spec.B_coef * s2 / spec.b_coef
+            c1 = spec.B_coef * math.sin(r * spec.omega1 + spec.eta2) / spec.b_coef
             if c1 == 0.0 or mu * c1 <= 0.0:
                 continue
             k_est = math.log(mu / c1) / lam_l
@@ -312,7 +300,7 @@ def _find_window_hits(
                 if k < 1:
                     continue
                 try:
-                    w = window_s(spec, k, q, angle_convention, orientation="matched")
+                    w = window_s(spec, k, q, orientation="matched")
                 except DomainError:
                     continue
                 if not w.degenerate and w.contains(mu):
@@ -326,11 +314,7 @@ def _find_window_hits(
 def _simulate_crossing(
     cert: BlenderCertificate, x_offset: float, seed: int, depth: int
 ) -> tuple[bool, str]:
-    rec = _simulate_disc(
-        cert, 0, seed, depth,
-        x_center=cert.x_center + x_offset,
-        x_extent=cert.overlap_min / 2.0,
-    )
+    (rec,) = _pull_back(cert, seed, [0], depth, x_centers=[cert.x_center + x_offset])
     return rec.ok, rec.note
 
 
@@ -342,7 +326,6 @@ def homoclinic_report(
     case: CaseTag,
     seed: int = 0,
     depth: int = 10,
-    angle_convention: str = "k_omega",
 ) -> RelationReport:
     """Relations among {L1, L2, blenders, auxiliary hyperbolic sets} realized
     at the splitting value mu, per the active case.
@@ -385,7 +368,7 @@ def homoclinic_report(
         raise NotApplicable("unfolded relation reports cover saddle_focus cycles")
     pq = moduli.rational("omega1")
     q = pq.denominator
-    hit_u, hit_s = _find_window_hits(spec, mu, q, angle_convention)
+    hit_u, hit_s = _find_window_hits(spec, mu, q)
     if hit_u is None and hit_s is None:
         raise OutsideWindows(f"mu={mu!r} lies in no u- or s-window")
 

@@ -5,7 +5,15 @@ import pytest
 
 import blenderforge as bf
 from blenderforge.arithmetic import PairSequence
-from blenderforge.blender_certifier import chain_cover, union_covers
+from blenderforge.blender_certifier import (
+    BlenderCertificate,
+    DiscRecord,
+    _attractor_points,
+    _pull_back,
+    chain_cover,
+    union_covers,
+)
+from blenderforge.rng import philox_rng
 from conftest import sf_spec
 
 
@@ -165,39 +173,162 @@ def test_simulation_depth_zero_vacuous():
 
 
 def test_simulation_adversarial_wide_disc():
-    from blenderforge.blender_certifier import _simulate_disc
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
-    rec = _simulate_disc(cert, 0, seed=1, depth=5, x_center=0.0,
-                         x_extent=3.0 * cert.c * cert.delta)
+    (rec,) = _pull_back(cert, seed=1, indices=[0], depth=5, x_centers=[0.0],
+                        x_extent=3.0 * cert.c * cert.delta)
     assert not rec.ok
     assert rec.fail_step == 1
     assert "margin" in rec.note
 
 
-def test_simulation_worker_invariance():
-    spec = sf_spec(delta=0.1)
-    cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
-    r1 = bf.simulate_covering(spec, cert, n_discs=24, seed=9, depth=12, workers=1)
-    r4 = bf.simulate_covering(spec, cert, n_discs=24, seed=9, depth=12, workers=4)
-    assert r1.to_json_dict() == r4.to_json_dict()
-
-
-def test_simulation_raise_on_failure_flag():
-    from blenderforge.blender_certifier import BlenderCertificate
+def test_simulation_reports_first_failure():
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
     # widen the sampled extent beyond the overlap guarantee via a doctored copy
     doc = cert.to_json_dict()
     doc["overlap_min"] = 0.5  # discs sampled at overlap_min/2 = 0.25 wide
     bad = BlenderCertificate.from_json_dict(doc)
-    with pytest.raises(bf.SimulationFailure):
-        bf.simulate_covering(spec, bad, n_discs=3, seed=0, depth=3,
-                             raise_on_failure=True)
+    report = bf.simulate_covering(spec, bad, n_discs=3, seed=0, depth=3)
+    assert not report.all_ok
+    first = next(r for r in report.per_disc if not r.ok)
+    assert first.index == 0
+    assert first.fail_step == 1
+
+
+def reference_disc(cert, index, seed, depth, x_center=None, x_extent=None):
+    """Scalar oracle of the vectorised pullback: one disc, one witness at a
+    time, first strictly larger margin wins."""
+    rng = philox_rng(seed, index)
+    lo_i, hi_i = cert.interval_I
+    extent = cert.overlap_min / 2.0 if x_extent is None else x_extent
+    if x_center is None:
+        pad = extent / 2.0
+        if lo_i + pad < hi_i - pad:
+            x_center = float(rng.uniform(lo_i + pad, hi_i - pad))
+        else:
+            x_center = 0.5 * (lo_i + hi_i)
+    amp = extent / 2.0
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    anchor = x_center + amp * math.sin(phase)
+
+    eff_a, eff_b = cert.effective_maps()
+    images = {w.n: w.interval for w in cert.witness}
+    raw_a = np.asarray(cert.A_values)
+
+    steps, factors = [], []
+    x_lo, x_hi = x_center - amp, x_center + amp
+    x_point = anchor
+    for step in range(1, depth + 1):
+        best_n, best_margin = None, -math.inf
+        for n, (ilo, ihi) in images.items():
+            margin = min(x_lo - ilo, ihi - x_hi)
+            if margin > best_margin:
+                best_n, best_margin = n, margin
+        if best_n is None or best_margin < 0.0:
+            return DiscRecord(
+                index=index, x_center=x_center, x_extent=extent, ok=False,
+                fail_step=step, steps=tuple(steps), step_factors=tuple(factors),
+                note=(
+                    f"X-range [{x_lo!r}, {x_hi!r}] exceeds every witness image; "
+                    f"best containment margin {best_margin!r} < 0 "
+                    f"(extent above the overlap guarantee)"
+                ),
+            )
+        x_point = (x_point - float(eff_b[best_n])) / float(eff_a[best_n])
+        x_lo = x_hi = x_point
+        steps.append(best_n)
+        factors.append(abs(float(raw_a[best_n])))
+    return DiscRecord(
+        index=index, x_center=x_center, x_extent=extent, ok=True,
+        fail_step=None, steps=tuple(steps), step_factors=tuple(factors),
+    )
+
+
+def doctored(cert, **changes):
+    doc = cert.to_json_dict()
+    doc.update(changes)
+    return BlenderCertificate.from_json_dict(doc)
+
+
+def assert_matches_oracle(cert, seed, indices, depth, x_centers=None, x_extent=None):
+    records = _pull_back(cert, seed, indices, depth, x_centers=x_centers, x_extent=x_extent)
+    assert [r.index for r in records] == list(indices)
+    for j, (rec, index) in enumerate(zip(records, indices)):
+        center = None if x_centers is None else x_centers[j]
+        expect = reference_disc(cert, index, seed, depth, x_center=center, x_extent=x_extent)
+        assert rec.to_json_dict() == expect.to_json_dict()
+        assert all(type(n) is int for n in rec.steps)
+    return records
+
+
+def test_pullback_matches_scalar_oracle_cs_and_cu():
+    spec = sf_spec(delta=0.1)
+    cs = bf.certify(spec, synthetic_sequence([0.5] * 9, dense_bs(-0.04, 0.04, 9)), c=0.5)
+    cu = bf.certify(spec, synthetic_sequence([2.0, 2.2, 1.9, 2.4, 2.1], FIVE_B))
+    assert (cs.blender_kind, cu.blender_kind) == ("cs", "cu")
+    for cert in (cs, cu):
+        for seed in (0, 5):
+            records = assert_matches_oracle(cert, seed, range(40), depth=25)
+            assert all(r.ok for r in records)
+        assert_matches_oracle(cert, 3, [7, 2, 11], depth=0)
+
+
+def test_pullback_matches_scalar_oracle_searched_certificate(sf1_setup):
+    spec, moduli = sf1_setup
+    cert = bf.certify(spec, bf.search_pairs(spec, moduli, bf.CaseTag.SF_1, eps=1e-3))
+    assert_matches_oracle(cert, 4, range(30), depth=40)
+
+
+def test_pullback_matches_scalar_oracle_fixed_centers():
+    # check_activation feeds attractor points of the other certificate
+    spec = sf_spec(delta=0.1)
+    cs = bf.certify(spec, synthetic_sequence([0.5] * 9, dense_bs(-0.04, 0.04, 9)), c=0.5)
+    cu = bf.certify(spec, synthetic_sequence([2.0] * 17, dense_bs(-0.1, 0.1, 17)), c=0.5)
+    for src, dst in ((cs, cu), (cu, cs)):
+        points = _attractor_points(src, 30, philox_rng(2, 1))
+        assert_matches_oracle(dst, 3, range(30), depth=10, x_centers=points)
+
+
+def test_pullback_matches_scalar_oracle_failures():
+    spec = sf_spec(delta=0.1)
+    cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
+    # discs 0.25 wide exceed every image at step 1 (and are wider than I)
+    wide = doctored(cert, overlap_min=0.5)
+    records = assert_matches_oracle(wide, 0, range(10), depth=6)
+    assert {r.fail_step for r in records} == {1}
+    # a chain without its middle link leaves a gap that pulled-back points
+    # reach only after some steps
+    broken = doctored(cert, witness=[w for i, w in enumerate(cert.to_json_dict()["witness"])
+                                     if i != len(cert.witness) // 2])
+    records = assert_matches_oracle(broken, 1, range(60), depth=12)
+    assert {1, 2, 3} <= {r.fail_step for r in records}
+    # discs wider than I at explicit extents and centers
+    assert_matches_oracle(cert, 2, range(5), depth=4, x_centers=[0.0, 0.01, -0.02, 0.03, 0.5],
+                          x_extent=3.0 * cert.c * cert.delta)
+
+
+def test_pullback_matches_scalar_oracle_ties():
+    spec = sf_spec(delta=0.1)
+    cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
+    # a margin of exactly 0 keeps the disc: [-0.065, -0.045] ends on the
+    # first image's left end
+    (edge,) = assert_matches_oracle(cert, 0, [0], depth=3, x_centers=[-0.055], x_extent=0.02)
+    assert edge.ok and edge.steps[0] == cert.witness[0].n
+    # an entry repeating the middle image under another map index ties with
+    # it everywhere; the first of equal margins wins
+    doc = cert.to_json_dict()["witness"]
+    twin = {**doc[1], "n": 1}
+    tied = doctored(cert, witness=doc[:2] + [twin] + doc[2:])
+    records = assert_matches_oracle(tied, 6, range(40), depth=10)
+    assert 1 not in {n for r in records for n in r.steps}
+    # a NaN image never wins, as if it were missing from the chain
+    blank = doctored(cert, witness=doc[:1] + [{**doc[1], "interval": ["nan", "nan"]}] + doc[2:])
+    records = assert_matches_oracle(blank, 6, range(40), depth=10)
+    assert doc[1]["n"] not in {n for r in records for n in r.steps}
 
 
 def test_certificate_json_round_trip():
-    from blenderforge.blender_certifier import BlenderCertificate
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
     clone = BlenderCertificate.from_json_dict(cert.to_json_dict())

@@ -50,7 +50,7 @@ def test_loose_tolerance_prefilter_memory_bounded():
     doc = json.loads((DATA / "sf_rational_pinned.json").read_text(encoding="utf-8"))
     spec, moduli = load_spec_document(doc)
     f = moduli.rational("omega1")
-    tables = simple_dynamics._SfTables(spec, f.denominator, f.numerator, 60, 60, "k_omega")
+    tables = simple_dynamics._SfTables(spec, f.denominator, f.numerator, 60, 60)
     intervals = tables.intervals()
     tracemalloc.start()
     try:

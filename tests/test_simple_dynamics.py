@@ -85,7 +85,7 @@ def test_closure_limit_points_included():
 def sf_products(spec, moduli):
     """P_r = a_r x+_r = B sin(r omega + eta2) / b per residue r."""
     f = moduli.rational("omega1")
-    pack = _sf_pack(spec, f.denominator, f.numerator, "k_omega")
+    pack = _sf_pack(spec, f.denominator, f.numerator)
     return pack["a"] * pack["x_plus"]
 
 
@@ -97,7 +97,7 @@ def test_ratio_distance_keeps_residue_sign_seed_102():
     report = bf.exclusion_sets(spec, moduli)
     dist = report.ratio_memberships["1,0"]
     assert dist < 1e-3
-    tables = _SfTables(spec, 3, 1, 12, 12, "k_omega")
+    tables = _SfTables(spec, 3, 1, 12, 12)
     residual, _ = tables.residual_min(np.array([0.0]), 6, 11, 2, 4)  # (7,12) vs (3,5)
     target = abs(spec.u_scalar / sf_products(spec, moduli)[1])
     assert dist / target == pytest.approx(residual, rel=1e-2)
@@ -212,7 +212,7 @@ def test_scan_generic_never_violates():
 def test_scan_antisymmetric_minimum():
     from blenderforge.simple_dynamics import _SfTables
     spec, moduli = rational_setup()
-    tables = _SfTables(spec, 4, 1, 12, 12, "k_omega")
+    tables = _SfTables(spec, 4, 1, 12, 12)
     grid = np.linspace(-1, 1, 5)
     r1, gp1 = tables.residual_min(grid, 2, 3, 5, 7)
     r2, gp2 = tables.residual_min(grid, 5, 7, 2, 3)
@@ -516,7 +516,7 @@ def test_prefilter_scales():
     # range 400 (SF) and 150 (DF): an O(n^4) loop here takes minutes
     spec, moduli = random_rational_sf_spec(rng_for(0))
     f = moduli.rational("omega1")
-    tables = _SfTables(spec, f.denominator, f.numerator, 400, 400, "k_omega")
+    tables = _SfTables(spec, f.denominator, f.numerator, 400, 400)
     sf = _prefilter_tuples(*tables.intervals(), 1e-6)
     n = 401
     assert 0 < len(sf) <= (n * (n - 1)) ** 2

@@ -44,17 +44,6 @@ def test_window_orientation_flag():
     assert lit.radius == mat.radius
 
 
-def test_window_angle_convention_flag():
-    spec = sf_spec()
-    kw = bf.window_s(spec, 5, 4, angle_convention="k_omega")
-    tr = bf.window_s(spec, 5, 4, angle_convention="two_pi_r")
-    # the literal residue form evaluates the sine at 2*pi*r + eta
-    lam_k = spec.lam ** 5
-    expect = -lam_k / spec.b_coef * spec.B_coef * math.sin(2 * math.pi * (5 % 4) + spec.eta2)
-    assert tr.center == pytest.approx(expect, rel=1e-12)
-    assert kw.center != tr.center
-
-
 def test_window_domain_errors():
     spec = window_spec()
     with pytest.raises(bf.DomainError):

@@ -182,13 +182,18 @@ def test_simulation_adversarial_wide_disc():
     assert "margin" in rec.note
 
 
+def doctored(cert, **changes):
+    doc = cert.to_json_dict()
+    doc.update(changes)
+    return BlenderCertificate.from_json_dict(doc)
+
+
 def test_simulation_reports_first_failure():
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
-    # widen the sampled extent beyond the overlap guarantee via a doctored copy
-    doc = cert.to_json_dict()
-    doc["overlap_min"] = 0.5  # discs sampled at overlap_min/2 = 0.25 wide
-    bad = BlenderCertificate.from_json_dict(doc)
+    # widen the sampled extent beyond the overlap guarantee via a doctored
+    # copy: discs sampled at overlap_min/2 = 0.25 wide
+    bad = doctored(cert, overlap_min=0.5)
     report = bf.simulate_covering(spec, bad, n_discs=3, seed=0, depth=3)
     assert not report.all_ok
     first = next(r for r in report.per_disc if not r.ok)
@@ -243,12 +248,6 @@ def reference_disc(cert, index, seed, depth, x_center=None, x_extent=None):
         index=index, x_center=x_center, x_extent=extent, ok=True,
         fail_step=None, steps=tuple(steps), step_factors=tuple(factors),
     )
-
-
-def doctored(cert, **changes):
-    doc = cert.to_json_dict()
-    doc.update(changes)
-    return BlenderCertificate.from_json_dict(doc)
 
 
 def assert_matches_oracle(cert, seed, indices, depth, x_centers=None, x_extent=None):

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from . import arithmetic, blender_certifier, cycle_model, return_map, simple_dynamics, unfolding
@@ -43,7 +43,7 @@ KNOWN_OVERRIDES = {
     "eta1", "eta2", "eta3", "delta", "c_frac",
     # command knobs
     "eps", "k_max", "m_max", "kind", "n_discs", "depth", "window_count",
-    "q", "p", "mu", "overlap_min", "c", "grid", "tol", "k_range", "m_range",
+    "q", "p", "mu", "overlap_min", "c", "tol", "k_range", "m_range",
     "unfold", "min_pairs", "K", "n_samples", "phi_bound", "k", "m",
     "csv",
 }
@@ -288,16 +288,9 @@ def _cmd_simple_check(config: RunConfig, spec: CycleSpec, moduli: Moduli | None)
     scan = simple_dynamics.brute_scan(
         spec, moduli,
         ranges=(k_range, m_range),
-        grid=config.knob("grid", 9, int),
         tol=config.knob("tol", 1e-6),
     )
-    report = simple_dynamics.ExclusionReport(
-        eta_ok=report.eta_ok,
-        ratio_memberships=report.ratio_memberships,
-        ab_memberships=report.ab_memberships,
-        trunc=report.trunc,
-        scan=scan,
-    )
+    report = replace(report, scan=scan)
     return {"exclusion": report, "verdict": simple_dynamics.simple_verdict(report)}
 
 
@@ -328,14 +321,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
 
     if case in (CaseTag.SF_RATIONAL_ALL, CaseTag.DF_RATIONAL_ALL):
         report = simple_dynamics.exclusion_sets(spec, moduli)
-        scan = simple_dynamics.brute_scan(spec, moduli)
-        report = simple_dynamics.ExclusionReport(
-            eta_ok=report.eta_ok,
-            ratio_memberships=report.ratio_memberships,
-            ab_memberships=report.ab_memberships,
-            trunc=report.trunc,
-            scan=scan,
-        )
+        report = replace(report, scan=simple_dynamics.brute_scan(spec, moduli))
         payload["exclusion"] = report
         payload["verdict"] = simple_dynamics.simple_verdict(report)
         return payload

@@ -5,8 +5,9 @@ set of magnitudes |gamma|^(s/q'), so two distinct return visits can balance
 the same splitting value only if certain coefficient ratios land in
 countable closed value sets.  `exclusion_sets` reports distances to the
 truncated sets (closure limit points included explicitly); `brute_scan`
-minimizes the two-pair residual over bounded index ranges and a grid of
-cube positions, classifying any near-solutions found.
+minimizes the two-pair residual over bounded index ranges, exactly over the
+cube of positions (each term is affine in one cube variable, so the minimum
+is 0 or sits at a vertex), and classifies any near-solutions found.
 
 The scan residual is the two-pair balance normalized by its dominant term
 magnitude; an absolute residual would fall below any fixed tolerance at
@@ -15,6 +16,7 @@ large indices for every coefficient choice, since all terms decay.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -203,7 +205,6 @@ def _distance_to_family(
 @dataclass(frozen=True)
 class BruteScanResult:
     ranges: tuple[int, int]
-    grid: int
     tol: float
     solutions: tuple[dict[str, Any], ...]
     n_solutions: int
@@ -215,7 +216,6 @@ class BruteScanResult:
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "ranges": list(self.ranges),
-            "grid": self.grid,
             "tol": self.tol,
             "solutions": [dict(s) for s in self.solutions],
             "n_solutions": self.n_solutions,
@@ -402,12 +402,6 @@ class _SfTables:
         self.k_labels: list[int | None] = ks.tolist() + [None]
         self.m_labels: list[int | None] = ms.tolist() + [None]
 
-    def x(self, ik: int, K) -> Any:
-        return self.base_x[ik] + self.slope_x[ik] * K
-
-    def y(self, im: int, C) -> Any:
-        return self.base_y[im] + self.slope_y[im] * C
-
     def intervals(self):
         x_lo = self.base_x - np.abs(self.slope_x)
         x_hi = self.base_x + np.abs(self.slope_x)
@@ -417,30 +411,14 @@ class _SfTables:
         y_scale = np.maximum(np.abs(y_lo), np.abs(y_hi))
         return (x_lo, x_hi, x_scale), (y_lo, y_hi, y_scale)
 
-    def residual_min(self, grid: np.ndarray, ik1, im1, ik2, im2):
-        K1 = grid[:, None, None, None]
-        C1 = grid[None, :, None, None]
-        K2 = grid[None, None, :, None]
-        C2 = grid[None, None, None, :]
-        x1, y1 = self.x(ik1, K1), self.y(im1, C1)
-        x2, y2 = self.x(ik2, K2), self.y(im2, C2)
-        res = np.abs((x1 - y1) - (x2 - y2))
-        scale = np.maximum(
-            np.maximum(np.abs(x1), np.abs(y1)),
-            np.maximum(np.abs(x2), np.abs(y2)),
-        )
-        norm = res / np.maximum(scale, SCALE_FLOOR)
-        idx = np.unravel_index(int(np.argmin(norm)), norm.shape)
-        gp = (float(grid[idx[0]]), float(grid[idx[1]]),
-              float(grid[idx[2]]), float(grid[idx[3]]))
-        return float(norm[idx]), gp
-
-    def parts(self, ik1, im1, ik2, im2, gp):
-        K1, C1, K2, C2 = gp
-        x1, y1 = float(self.x(ik1, K1)), float(self.y(im1, C1))
-        x2, y2 = float(self.x(ik2, K2)), float(self.y(im2, C2))
-        scale = max(abs(x1), abs(x2), abs(y1), abs(y2), SCALE_FLOOR)
-        return abs(x1 - x2), abs(y1 - y2), scale
+    def terms(self, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """Centres and slopes of the balance terms (x1, -y1, -x2, y2) of each
+        (k1, k2, m1, m2) row of `tuples`, and the cube variable of each term
+        as an index into (K1, C1, K2, C2)."""
+        ik1, ik2, im1, im2 = tuples.T
+        centre = (self.base_x[ik1], -self.base_y[im1], -self.base_x[ik2], self.base_y[im2])
+        slope = (self.slope_x[ik1], -self.slope_y[im1], -self.slope_x[ik2], self.slope_y[im2])
+        return np.stack(centre, axis=1), np.stack(slope, axis=1), (0, 1, 2, 3)
 
 
 class _DfTables:
@@ -490,30 +468,19 @@ class _DfTables:
         scale[bad] = SCALE_FLOOR
         return p_lo, p_hi, scale
 
-    def residual_min(self, grid: np.ndarray, ik1, im1, ik2, im2):
-        K1 = grid[:, None, None, None]
-        C1 = grid[None, :, None, None]
-        K2 = grid[None, None, :, None]
-        C2 = grid[None, None, None, :]
-        u1, v1 = self._uv(ik1, im1, K1, C1)
-        u2, v2 = self._uv(ik2, im2, K2, C2)
-        res = np.abs((u1 + v1) - (u2 + v2))
-        scale = np.maximum(
-            np.maximum(np.abs(u1) + 0 * res, np.abs(v1) + 0 * res),
-            np.maximum(np.abs(u2) + 0 * res, np.abs(v2) + 0 * res),
-        )
-        norm = res / np.maximum(scale, SCALE_FLOOR)
-        idx = np.unravel_index(int(np.argmin(norm)), norm.shape)
-        gp = (float(grid[idx[0]]), float(grid[idx[1]]),
-              float(grid[idx[2]]), float(grid[idx[3]]))
-        return float(norm[idx]), gp
-
-    def parts(self, ik1, im1, ik2, im2, gp):
-        K1, C1, K2, C2 = gp
-        u1, v1 = self._uv(ik1, im1, K1, C1)
-        u2, v2 = self._uv(ik2, im2, K2, C2)
-        scale = max(abs(u1), abs(u2), abs(v1), abs(v2), SCALE_FLOOR)
-        return abs(float(v1 - v2)), abs(float(u1 - u2)), scale
+    def terms(self, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """Centres and slopes of the balance terms (v1, u1, -v2, -u2) of each
+        (k1, k2, m1, m2) row of `tuples`, and the cube variable of each term
+        as an index into (K1, C1, K2, C2): u moves with K and v with C."""
+        centre, slope = [], []
+        for sign, ik, im in ((1.0, tuples[:, 0], tuples[:, 2]), (-1.0, tuples[:, 1], tuples[:, 3])):
+            u, v = self._uv(ik, im, 0.0, 0.0)
+            r2 = self.r2_of_m[im]
+            gain = sign * self.d / self.ell[r2]
+            centre += [sign * v, sign * u]
+            slope += [-gain * self.lam_neg[ik],
+                      gain * self.gam_pows[im] * self.a[self.r1_of_k[ik], r2]]
+        return np.stack(centre, axis=1), np.stack(slope, axis=1), (1, 0, 3, 2)
 
 
 #: index pairs the interval join hands over per block; a loose tolerance
@@ -657,125 +624,128 @@ def _prefilter_tuples_df(p_lo, p_hi, scale, tol: float) -> list[tuple[int, int, 
     return out
 
 
-def _sharing_witnesses_sf(tables: _SfTables, grid: np.ndarray,
-                          tol: float) -> list[dict[str, Any]]:
-    """Exact witnesses of the index-sharing solution families.
+#: the cube's 16 vertices, lexicographic in (K1, C1, K2, C2) with -1 first; the
+#: witness is the first minimal one, so a variable no term moves sits at -1
+_VERTICES = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
 
-    m-sharing: both visits spend the same m turns and the k-terms are below
-    resolution (lambda^k = O(delta) * gamma^-m); k-sharing symmetric.
+
+def _residual(t: np.ndarray) -> np.ndarray:
+    """|t0 + t1 + t2 + t3| / max(max_j |t_j|, SCALE_FLOOR) along the last axis."""
+    balance = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
+    return np.abs(balance) / np.maximum(np.abs(t).max(axis=-1), SCALE_FLOOR)
+
+
+def _balance_min(centre: np.ndarray, slope: np.ndarray, axes: tuple[int, ...], tol: float):
+    """Exact minimum over the cube of the normalised two-pair residual, one
+    row per index tuple, in the closed form `brute_scan` states.
+
+    A row holds the terms t_j = centre_j + slope_j * z_j (visit 1's k-term,
+    its m-term, visit 2's k-term, its m-term, signed so that the balance is
+    their sum), where z_j in [-1, 1] is the cube variable axes[j] of
+    (K1, C1, K2, C2).  Returns the residual at the witness, the witness as
+    (K1, C1, K2, C2), and whether the k-part |t0 + t2| and the m-part
+    |t1 + t3| exceed 2 tol times the witness's scale.
     """
-    out: list[dict[str, Any]] = []
-    nk = len(tables.k_labels)
-    nm = len(tables.m_labels)
+    total = (centre[:, 0] + centre[:, 1]) + (centre[:, 2] + centre[:, 3])
+    reach = np.abs(slope).sum(axis=1)
+    step = np.minimum(1.0, np.abs(total) / np.maximum(reach, SCALE_FLOOR))
+    z = np.sign(slope) * (-np.sign(total) * step)[:, None] + 0.0    # -0.0 becomes 0.0
+    far = np.abs(total) > reach
+    vertices = _VERTICES[:, axes]
+    at_vertices = np.stack([_residual(centre[far] + slope[far] * v) for v in vertices], axis=1)
+    z[far] = vertices[np.argmin(at_vertices, axis=1)]
+    t = centre + slope * z
+    active = 2.0 * tol * np.maximum(np.abs(t).max(axis=1), SCALE_FLOOR)
+    return (_residual(t), z[:, np.argsort(axes)],
+            np.abs(t[:, 0] + t[:, 2]) > active, np.abs(t[:, 1] + t[:, 3]) > active)
+
+
+def _sharing_tuples_sf(tables: _SfTables, tol: float) -> np.ndarray:
+    """Candidate (k1, k2, m1, m2) rows of the index-sharing solution families.
+
+    m-sharing: both visits spend the same m turns, the smallest k whose term
+    is below resolution (lambda^k = O(delta) * gamma^-m) and the infinite k;
+    k-sharing symmetric."""
     xs = np.maximum(np.abs(tables.base_x) + np.abs(tables.slope_x), SCALE_FLOOR)
     ys = np.maximum(np.abs(tables.base_y) + np.abs(tables.slope_y), SCALE_FLOOR)
-    for im in range(nm - 1):
-        y_scale = ys[im]
-        small = np.nonzero(xs[:-1] <= 0.25 * tol * y_scale)[0]
-        cand = list(small[:1]) + [nk - 1]  # smallest admissible k and infinity
-        if len(cand) >= 2 and cand[0] != cand[1]:
-            ik1, ik2 = int(cand[0]), int(cand[1])
-            res, gp = tables.residual_min(grid, ik1, im, ik2, im)
-            if res <= tol:
-                out.append(_solution(tables, ik1, im, ik2, im, res, gp))
-    for ik in range(nk - 1):
-        x_scale = xs[ik]
-        small = np.nonzero(ys[:-1] <= 0.25 * tol * x_scale)[0]
-        cand = list(small[:1]) + [nm - 1]
-        if len(cand) >= 2 and cand[0] != cand[1]:
-            im1, im2 = int(cand[0]), int(cand[1])
-            res, gp = tables.residual_min(grid, ik, im1, ik, im2)
-            if res <= tol:
-                out.append(_solution(tables, ik, im1, ik, im2, res, gp))
-    return out
-
-
-def _solution(tables, ik1, im1, ik2, im2, res, gp) -> dict[str, Any]:
-    return {
-        "pair1": [tables.k_labels[ik1], tables.m_labels[im1]],
-        "pair2": [tables.k_labels[ik2], tables.m_labels[im2]],
-        "residual": res,
-        "grid_point": list(gp),
-    }
+    families = []
+    for own, shared in ((xs, ys), (ys, xs)):
+        # (own1, own2, shared, shared) for each finite shared index with a small own index
+        small = own[None, :-1] <= 0.25 * tol * shared[:-1, None]
+        i = np.flatnonzero(small.any(axis=1))
+        first = small.argmax(axis=1)[i]
+        families.append(np.stack((first, np.full_like(first, len(own) - 1), i, i), axis=1))
+    m_sharing, k_sharing = families
+    return np.concatenate((m_sharing, k_sharing[:, [2, 3, 0, 1]]))
 
 
 def brute_scan(
     spec: CycleSpec,
     moduli: Moduli,
     ranges: tuple[int, int] = (40, 40),
-    grid: int = 9,
     tol: float = 1e-6,
 ) -> BruteScanResult:
     """Exhaustive two-pair scan over k, m <= ranges plus infinite indices.
 
-    Enumerates index 4-tuples through an interval prefilter (sound: the
-    grid residual cannot beat the interval gap).  The prefilter sorts the
-    n^2 index-pair intervals by lower end and joins them by searchsorted
-    (Dx against Dy for the saddle focus, P against itself for the double
-    focus), so it costs O(n^2 log n + candidates), not O(n^4).  It then
-    exactly minimizes the normalized residual over the (K, C) grid on the
-    first INDEX_CAP survivors, and classifies:
-    a solution is a violation only when both its k-part and m-part
-    differences are active above the tolerance at the solution's scale;
+    An interval prefilter (sound: no point of the cube beats the interval
+    gap) sorts the n^2 index-pair intervals by lower end and joins them by
+    searchsorted (Dx against Dy for the saddle focus, P against itself for
+    the double focus), so it costs O(n^2 log n + candidates), not O(n^4).
+    On its first INDEX_CAP survivors, and on the saddle focus's
+    index-sharing candidates, `_balance_min` minimizes the normalized
+    residual exactly over the cube [-1, 1]^4 of (K1, C1, K2, C2).  Each
+    balance term t_j = c_j + s_j z_j is affine in one cube variable z_j.
+    With c = sum c_j and S = sum |s_j|, the balance reaches 0 iff |c| <= S,
+    at the witness z_j = -sign(c) sign(s_j) min(1, |c| / S) nearest the
+    cube centre in max-norm.  Otherwise the balance keeps one sign, so its
+    absolute value is affine while the scale max_j |t_j| is convex: the
+    residual is quasiconcave, and its minimum is at one of the 16 vertices.
+
+    A solution is a violation only when both its k-part and m-part
+    differences are active above the tolerance at its witness's scale;
     otherwise it belongs to an index-sharing family (constrained).
     """
     _require_rational(moduli, spec)
     k_max, m_max = ranges
-    grid_vals = np.linspace(-1.0, 1.0, grid)
     f1 = moduli.rational("omega1")
     q1, p1 = f1.denominator, f1.numerator
 
-    solutions: list[dict[str, Any]] = []
-    min_residual = math.inf
-    truncated = False
-
     if k_max == 0 or m_max == 0:
         return BruteScanResult(
-            ranges=(k_max, m_max), grid=grid, tol=tol, solutions=(),
+            ranges=(k_max, m_max), tol=tol, solutions=(),
             n_solutions=0, verdict="no_extra_pairs", share_type=None,
             min_residual=math.inf,
         )
 
     if spec.is_saddle_focus:
         tables: Any = _SfTables(spec, q1, p1, k_max, m_max)
-        solutions.extend(_sharing_witnesses_sf(tables, grid_vals, tol))
+        sharing = _sharing_tuples_sf(tables, tol)
         tuples = _prefilter_tuples(*tables.intervals(), tol)
     else:
         f2 = moduli.rational("omega2")
         q2, p2 = f2.denominator, f2.numerator
         tables = _DfTables(spec, q1, p1, q2, p2, k_max, m_max)
+        sharing = np.empty((0, 4), dtype=np.intp)
         tuples = _prefilter_tuples_df(*tables.intervals(), tol=tol)
 
-    if len(tuples) > INDEX_CAP:
-        truncated = True
-        tuples = tuples[:INDEX_CAP]
-
-    violation = False
-    for ik1, ik2, im1, im2 in tuples:
-        res, gp = tables.residual_min(grid_vals, ik1, im1, ik2, im2)
-        min_residual = min(min_residual, res)
-        if res <= tol:
-            sol = _solution(tables, ik1, im1, ik2, im2, res, gp)
-            dx, dy, scale = tables.parts(ik1, im1, ik2, im2, gp)
-            k_active = dx > 2.0 * tol * scale
-            m_active = dy > 2.0 * tol * scale
-            sol["k_part_active"] = bool(k_active)
-            sol["m_part_active"] = bool(m_active)
-            # a violation needs genuinely different index labels on both
-            # axes AND both power differences active at the solution's
-            # scale (a below-resolution difference is the infinite-index
-            # identification)
-            k_distinct = tables.k_labels[ik1] != tables.k_labels[ik2]
-            m_distinct = tables.m_labels[im1] != tables.m_labels[im2]
-            if k_distinct and m_distinct and k_active and m_active:
-                violation = True
-            if len(solutions) < SOLUTION_CAP:
-                solutions.append(sol)
-            else:
-                truncated = True
-
-    for sol in solutions:
-        min_residual = min(min_residual, sol["residual"])
+    rows = np.concatenate((sharing, np.array(tuples[:INDEX_CAP], dtype=np.intp).reshape(-1, 4)))
+    residual, point, k_active, m_active = _balance_min(*tables.terms(rows), tol)
+    hits = np.flatnonzero(residual <= tol)
+    truncated = len(tuples) > INDEX_CAP or len(hits) > SOLUTION_CAP
+    # a violation needs genuinely different index labels on both axes AND
+    # both power differences active at the solution's scale (a
+    # below-resolution difference is the infinite-index identification)
+    distinct = (rows[:, 0] != rows[:, 1]) & (rows[:, 2] != rows[:, 3])
+    violation = bool(np.any((distinct & k_active & m_active)[hits]))
+    solutions = [{
+        "pair1": [tables.k_labels[k1], tables.m_labels[m1]],
+        "pair2": [tables.k_labels[k2], tables.m_labels[m2]],
+        "residual": float(residual[i]),
+        "point": point[i].tolist(),
+        "k_part_active": bool(k_active[i]),
+        "m_part_active": bool(m_active[i]),
+    } for i, (k1, k2, m1, m2) in zip(hits[:SOLUTION_CAP], rows[hits[:SOLUTION_CAP]])]
+    min_residual = float(residual.min(initial=math.inf))
 
     if not solutions:
         verdict = "no_extra_pairs"
@@ -791,7 +761,7 @@ def brute_scan(
             "k" if k_shared and not m_shared else "mixed"
         )
     return BruteScanResult(
-        ranges=(k_max, m_max), grid=grid, tol=tol,
+        ranges=(k_max, m_max), tol=tol,
         solutions=tuple(solutions), n_solutions=len(solutions),
         verdict=verdict, share_type=share, min_residual=min_residual,
         truncated=truncated,

@@ -29,7 +29,7 @@ SIMPLE_CHECK_CASES = {
     "df_rational_violation": ("df_rational_violation.json", {"k_range": "40", "m_range": "40"}),
     "df_rational_no_pairs": ("df_rational_no_pairs.json", {"k_range": "40", "m_range": "40"}),
     "sf_rational_loose_tol": ("sf_rational_pinned.json",
-                              {"k_range": "60", "m_range": "60", "tol": "1", "grid": "3"}),
+                              {"k_range": "60", "m_range": "60", "tol": "1"}),
 }
 
 
@@ -60,6 +60,26 @@ def test_loose_tolerance_prefilter_memory_bounded():
         tracemalloc.stop()
     assert len(tuples) == simple_dynamics.INDEX_CAP + 1
     assert peak < 64 * 2**20
+
+
+def test_loose_tolerance_scan_memory_bounded():
+    # the whole scan at tol = 1: the prefilter, then the closed-form minimum
+    # over INDEX_CAP survivors, none of which reaches zero, at 16 vertices each
+    spec, moduli = load_spec_document(
+        json.loads((DATA / "sf_rational_pinned.json").read_text(encoding="utf-8")))
+    tracemalloc.start()
+    try:
+        scan = simple_dynamics.brute_scan(spec, moduli, ranges=(60, 60), tol=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.truncated
+    assert peak < 64 * 2**20
+
+
+def test_grid_override_rejected():
+    with pytest.raises(ValueError, match="grid"):
+        cli.RunConfig("simple-check", str(DATA / "sf_rational_simple.json"), {"grid": "9"})
 
 
 #: documents of the `search-pairs` goldens, each run at the default eps and

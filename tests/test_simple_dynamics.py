@@ -1,5 +1,8 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import strategies as st
 
 import blenderforge as bf
 from blenderforge import simple_dynamics as sd
+from blenderforge.cycle_model import load_spec_document
 from blenderforge.simple_dynamics import (
     SCALE_FLOOR,
     TruncationRanges,
+    _balance_min,
     _df_pack,
     _DfTables,
     _distance_to_family,
@@ -21,6 +26,8 @@ from blenderforge.simple_dynamics import (
     exclusion_elements,
 )
 from conftest import df_spec, random_rational_sf_spec, rng_for, sf_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 def rational_setup(delta=5e-5, **kw):
@@ -98,7 +105,8 @@ def test_ratio_distance_keeps_residue_sign_seed_102():
     dist = report.ratio_memberships["1,0"]
     assert dist < 1e-3
     tables = _SfTables(spec, 3, 1, 12, 12)
-    residual, _ = tables.residual_min(np.array([0.0]), 6, 11, 2, 4)  # (7,12) vs (3,5)
+    centre, *_ = tables.terms(np.array([[6, 2, 11, 4]]))  # (7,12) vs (3,5)
+    residual = sd._residual(centre[0])                    # at K = C = 0
     target = abs(spec.u_scalar / sf_products(spec, moduli)[1])
     assert dist / target == pytest.approx(residual, rel=1e-2)
     assert bf.simple_verdict(report) == "inconclusive"
@@ -178,7 +186,7 @@ def test_scan_finds_constructed_witness():
     spec, moduli, pair1, pair2 = constructed_on_spec()
     report = bf.exclusion_sets(spec, moduli)
     assert report.min_ratio_distance == pytest.approx(0.0, abs=1e-12)
-    result = bf.brute_scan(spec, moduli, ranges=(40, 40), grid=9, tol=1e-6)
+    result = bf.brute_scan(spec, moduli, ranges=(40, 40), tol=1e-6)
     assert result.verdict == "violation"
     found = [s for s in result.solutions
              if {tuple(s["pair1"]), tuple(s["pair2"])} == {pair1, pair2}]
@@ -201,7 +209,7 @@ def test_scan_generic_never_violates():
             continue
         if min(report.min_ratio_distance, report.min_ab_distance) <= 1e-3:
             continue
-        result = bf.brute_scan(spec, moduli, ranges=(40, 40), grid=9, tol=1e-6)
+        result = bf.brute_scan(spec, moduli, ranges=(40, 40), tol=1e-6)
         assert result.verdict in ("no_extra_pairs", "constrained"), (
             attempt, result.verdict, result.solutions[:2]
         )
@@ -210,20 +218,125 @@ def test_scan_generic_never_violates():
 
 
 def test_scan_antisymmetric_minimum():
-    from blenderforge.simple_dynamics import _SfTables
     spec, moduli = rational_setup()
     tables = _SfTables(spec, 4, 1, 12, 12)
-    grid = np.linspace(-1, 1, 5)
-    r1, gp1 = tables.residual_min(grid, 2, 3, 5, 7)
-    r2, gp2 = tables.residual_min(grid, 5, 7, 2, 3)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    rows = np.array([[2, 5, 3, 7], [5, 2, 7, 3]])       # (3, 4) vs (6, 8), both ways
+    residual, *_ = _balance_min(*tables.terms(rows), 1e-6)
+    assert residual[0] == pytest.approx(residual[1], rel=1e-12)
 
 
-def test_scan_grid_refinement_monotone():
-    spec, moduli, *_ = constructed_on_spec()
-    coarse = bf.brute_scan(spec, moduli, ranges=(14, 12), grid=9, tol=1e-6)
-    fine = bf.brute_scan(spec, moduli, ranges=(14, 12), grid=17, tol=1e-6)
-    assert fine.min_residual <= coarse.min_residual + 1e-15
+def test_scan_finds_zero_between_grid_nodes():
+    # u moved so that the constructed pair's balance needs K1 = 0.37 with the
+    # other cube variables at 0.  At delta = 5e-5 the four slopes are
+    # commensurate (lambda^ell = 1/4, gamma^-n = 1/8) and nodes of a grid of
+    # 9 per axis come within 2e-8 of any zero; at delta = 1e-2 none gets
+    # within the tolerance
+    spec, moduli, pair1, pair2 = constructed_on_spec()
+    spec = dataclasses.replace(spec, delta=1e-2)
+    row = np.array([[pair1[0] - 1, pair2[0] - 1, pair1[1] - 1, pair2[1] - 1]])
+    centre, slope, _ = _SfTables(spec, 4, 1, 14, 12).terms(row)
+    gap = spec.gamma ** -pair1[1] - spec.gamma ** -pair2[1]     # the balance's du-slope is -gap
+    spec = dataclasses.replace(
+        spec, u_minus=spec.u_scalar + (centre.sum() + 0.37 * slope[0, 0]) / gap)
+    centre, slope, axes = _SfTables(spec, 4, 1, 14, 12).terms(row)
+    assert -centre.sum() / slope[0, 0] == pytest.approx(0.37, rel=1e-6)
+    assert grid_residual_min(centre[0], slope[0], axes, 9)[0] > 1e-6
+    result = bf.brute_scan(spec, moduli, ranges=(14, 12), tol=1e-6)
+    assert result.verdict == "violation"
+    found = [s for s in result.solutions
+             if (tuple(s["pair1"]), tuple(s["pair2"])) == (pair1, pair2)]
+    assert found and found[0]["residual"] <= ROUNDING
+    assert found[0]["k_part_active"] and found[0]["m_part_active"]
+
+
+def grid_residual_min(centre, slope, axes, grid):
+    """Reference: the normalised residual of the terms t_j = centre_j +
+    slope_j z_j minimised over the grid^4 nodes of the cube, z_j the cube
+    variable axes[j]; returns the first minimum in (K1, C1, K2, C2) order and
+    its node."""
+    g = np.linspace(-1.0, 1.0, grid)
+    t = [centre[j] + slope[j] * g.reshape([-1 if a == axes[j] else 1 for a in range(4)])
+         for j in range(4)]
+    res = np.abs((t[0] + t[1]) + (t[2] + t[3]))
+    scale = np.maximum(np.maximum(np.abs(t[0]), np.abs(t[1])),
+                       np.maximum(np.abs(t[2]), np.abs(t[3])))
+    norm = res / np.maximum(scale, SCALE_FLOOR)
+    idx = np.unravel_index(int(np.argmin(norm)), norm.shape)
+    return float(norm[idx]), g[list(idx)]
+
+
+def scan_rows(spec, moduli, ranges, tol):
+    """The tables of `brute_scan` and its first INDEX_CAP prefilter survivors
+    as (k1, k2, m1, m2) rows."""
+    f1 = moduli.rational("omega1")
+    if spec.is_saddle_focus:
+        tables = _SfTables(spec, f1.denominator, f1.numerator, *ranges)
+        tuples = _prefilter_tuples(*tables.intervals(), tol)
+    else:
+        f2 = moduli.rational("omega2")
+        tables = _DfTables(spec, f1.denominator, f1.numerator,
+                           f2.denominator, f2.numerator, *ranges)
+        tuples = _prefilter_tuples_df(*tables.intervals(), tol)
+    return tables, np.array(tuples[:sd.INDEX_CAP], dtype=np.intp).reshape(-1, 4)
+
+
+#: rounding floor of the residual: a zero of the four-term balance, evaluated
+#: in floats, is a few ulps of its largest term, where a grid node can hit an
+#: exact 0.0 by cancellation
+ROUNDING = 16 * np.finfo(float).eps
+
+
+def load_doc(name):
+    return load_spec_document(json.loads((DATA / name).read_text(encoding="utf-8")))
+
+
+#: spec, ranges, tol and row stride of each oracle case; the tol = 1 scan
+#: of the pinned document is sampled
+ORACLE_CASES = {
+    "constructed_sf": (lambda: constructed_on_spec()[:2], (40, 40), 1e-6, 1),
+    "seed_102": (lambda: random_rational_sf_spec(rng_for(102)), (40, 40), 1e-6, 1),
+    "df_rational_violation": (lambda: load_doc("df_rational_violation.json"), (40, 40), 1e-6, 1),
+    "pinned_tol_1": (lambda: load_doc("sf_rational_pinned.json"), (60, 60), 1.0, 397),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_balance_min_against_grid_oracle(name):
+    # on every prefilter survivor (sampled at tol = 1) the closed form is
+    # never above a grid minimum, its witness lies in the cube and
+    # re-evaluates to its residual, and it keeps every grid-9 solution
+    make, ranges, tol, stride = ORACLE_CASES[name]
+    tables, rows = scan_rows(*make(), ranges, tol)
+    rows = rows[::stride]
+    assert len(rows) > 10
+    centre, slope, axes = tables.terms(rows)
+    residual, point, *_ = _balance_min(centre, slope, axes, tol)
+    assert np.all(np.abs(point) <= 1.0)
+    t = centre + slope * point[:, list(axes)]
+    again = np.abs((t[:, 0] + t[:, 1]) + (t[:, 2] + t[:, 3])) \
+        / np.maximum(np.abs(t).max(axis=1), SCALE_FLOOR)
+    assert np.array_equal(again, residual)
+    for i in range(len(rows)):
+        for grid in (2, 3, 9, 17):
+            ref, _ = grid_residual_min(centre[i], slope[i], axes, grid)
+            assert residual[i] <= ref * (1 + 1e-12) + ROUNDING, (rows[i], grid)
+            if grid == 9 and ref <= tol:
+                assert residual[i] <= tol, rows[i]
+
+
+def test_df_terms_match_uv():
+    # the balance terms are _uv's u and v, signed and paired with their cube
+    # variables, at the centre and at every vertex
+    spec = df_spec(theta=1.0, w1_hat=1 / 3, w2_hat=1 / 5, delta=5e-5)
+    tables = _DfTables(spec, 3, 1, 5, 1, 12, 12)
+    rows = np.array([[0, 5, 3, 7], [11, 2, 0, 9], [4, 4, 1, 2]])
+    centre, slope, axes = tables.terms(rows)
+    for point in [np.zeros(4), *sd._VERTICES]:
+        K1, C1, K2, C2 = point
+        u1, v1 = tables._uv(rows[:, 0], rows[:, 2], K1, C1)
+        u2, v2 = tables._uv(rows[:, 1], rows[:, 3], K2, C2)
+        t = centre + slope * point[list(axes)]
+        np.testing.assert_allclose(t, np.stack((v1, u1, -v2, -u2), axis=1), rtol=1e-13)
 
 
 def test_df_scan_runs_and_classifies():
@@ -233,7 +346,7 @@ def test_df_scan_runs_and_classifies():
     )
     report = bf.exclusion_sets(spec, moduli)
     assert report.ratio_memberships
-    result = bf.brute_scan(spec, moduli, ranges=(25, 25), grid=5, tol=1e-6)
+    result = bf.brute_scan(spec, moduli, ranges=(25, 25), tol=1e-6)
     assert result.verdict in ("no_extra_pairs", "constrained", "violation")
 
 
@@ -266,7 +379,7 @@ def test_df_constructed_witness_on_family(pair1, pair2):
     key = f"{pair1[0] % 3},{pair1[1] % 5}->{pair2[0] % 3},{pair2[1] % 5}"
     report = bf.exclusion_sets(spec, moduli)
     assert report.ratio_memberships[key] == pytest.approx(0.0, abs=1e-12)
-    result = bf.brute_scan(spec, moduli, ranges=(10, 10), grid=5, tol=1e-6)
+    result = bf.brute_scan(spec, moduli, ranges=(10, 10), tol=1e-6)
     assert result.verdict == "violation"
     assert any({tuple(s["pair1"]), tuple(s["pair2"])} == {pair1, pair2}
                for s in result.solutions)
@@ -310,7 +423,7 @@ def test_df_ratio_distances_match_enumeration():
 def test_simple_verdict_conjunction():
     spec, moduli = rational_setup()
     report = bf.exclusion_sets(spec, moduli)
-    scan = bf.brute_scan(spec, moduli, ranges=(30, 30), grid=9, tol=1e-6)
+    scan = bf.brute_scan(spec, moduli, ranges=(30, 30), tol=1e-6)
     full = bf.ExclusionReport(
         eta_ok=report.eta_ok,
         ratio_memberships=report.ratio_memberships,

@@ -2,22 +2,22 @@
 
 Each search produces integer pairs (k, m) whose return-map coefficients
 (A_km, B_km) have B_km accumulating near zero while |A_km| stays inside a
-band on one side of 1.  The declared arithmetic of the moduli fixes the
-shape of the search, and three kernels serve the ten searched case tags:
+band on one side of 1.  `CASES` holds one `CaseInfo` per searched case
+tag: the parameter block its declared arithmetic fixes, and what its
+theorem yields.  Two kernels serve the ten searched tags:
 
-- residue-class lattice (SF-1, DF-1): rational angles pin k to the residue
-  class of a witness, and m is rounded into its own class toward t*;
-- band scan over k (SF-3, DF-2.1, DF-3.1, DF-3.2): every k of the window,
-  or of the lattice step a relation allows, whose band value or torus point
-  qualifies, each with the m nearest its t*;
+- k lattice (SF-1, DF-1, SF-3, DF-2.1, DF-3.1, DF-3.2): k runs over the
+  residue class of a witness, or over the window or a relation's step
+  keeping each k whose band value or torus point qualifies; m is rounded
+  into its own class toward the t* each k aims at;
 - line-profile lattice (SF-2, DF-2.2, DF-3.3.1, DF-3.3.2): declared integer
   relations put the target on a line; each expanding root s0 of the line's
   B-profile carries a lattice of (k, m) whose torus points approach it.
 
-Each case is a parameter block for its kernel, and the kernels share one
-funnel: candidates, the window mask, a coarse gap, one exact
-`return_map.coeffs` evaluation per survivor, then assembly.  The reported
-A/B values are those of the exact stage, so they round-trip bit-exactly.
+The kernels share one funnel: candidates, the window mask, a coarse gap,
+one exact `return_map.coeffs` evaluation per survivor, then assembly.  The
+reported A/B values are those of the exact stage, so they round-trip
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cycle_model import CaseTag, CycleSpec, Moduli, TWO_PI
+from .cycle_model import CaseTag, CycleSpec, CycleType, Moduli, TWO_PI
 from .diophantine import frac
 from .errors import DomainError, NotApplicable, PoleError, WindowExhausted
 from .return_map import (
@@ -615,24 +615,23 @@ def _funnel(
     return kept, best
 
 
-# -- residue-class lattice and band scan over k --------------------------------
+# -- k lattice ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Lattice:
-    """A residue-lattice or band-scan case.
+    """A k-lattice case.
 
-    k runs over r + q*kp (k_class) inside the window; each k aims at t*
-    (one number, or per k from `aim`, which also drops ks), and m is the
-    integer of its class m_class nearest t* + theta*k.  With `slope` set, eps
-    bounds |B_km| and the coarse gap on t is 2*eps/slope; without it eps
-    bounds the torus distance, which also takes in the circle distances of
-    k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
+    k runs over r + q*kp (k_class) inside the window; `aim` keeps the ks
+    that qualify and gives the t* each aims at (one number or one per k),
+    and m is the integer of its class m_class nearest t* + theta*k.  With
+    `slope` set, eps bounds |B_km| and the coarse gap on t is 2*eps/slope;
+    without it eps bounds the torus distance, which also takes in the circle
+    distances of k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
     """
 
     k_class: tuple[int, int]
     m_class: tuple[int, int]
-    t_star: float = math.nan
-    aim: Callable[[np.ndarray], tuple[np.ndarray, Any]] | None = None
+    aim: Callable[[np.ndarray], tuple[np.ndarray, Any]]
     slope: float | None = None
     s_circle: float | None = None
     w_circle: float | None = None
@@ -641,18 +640,16 @@ class _Lattice:
     alpha_ref: float | None = None
 
 
-def _k_lattice(s: _Search, r: int, q: int) -> np.ndarray:
-    """k = r + q*kp inside the window."""
-    k0 = max(s.window.k_min, 1)
-    kp_lo = max(0 if r >= 1 else 1, math.ceil((k0 - r) / q))
+def _lattice(s: _Search, blk: _Lattice) -> PairSequence:
+    """SF-1, DF-1, SF-3, DF-2.1, DF-3.1, DF-3.2: the aimed ks of k = r + q*kp
+    inside the window, each with the m of its class nearest its t*."""
+    spec, theta = s.spec, s.moduli.theta
+    r, q = blk.k_class
+    kp_lo = max(0 if r >= 1 else 1, math.ceil((max(s.window.k_min, 1) - r) / q))
     kp_hi = (s.window.k_max - r) // q
     if kp_hi < kp_lo:
         raise WindowExhausted(f"{s.what}: empty k window", found=0)
-    return r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64)
-
-
-def _m_rounding(s: _Search, blk: _Lattice, ks: np.ndarray, t_star: Any) -> PairSequence:
-    spec, theta = s.spec, s.moduli.theta
+    ks, t_star = blk.aim(r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64))
     ideal = t_star + theta * ks
     r, q = blk.m_class
     ms = r + q * np.round((ideal - r) / q).astype(np.int64)
@@ -671,19 +668,6 @@ def _m_rounding(s: _Search, blk: _Lattice, ks: np.ndarray, t_star: Any) -> PairS
         threshold = 2.0 * s.eps / blk.slope + 1e-12
         kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], threshold, s.eps, True)
     return _assemble(s, kept, best, s.what, blk.target, blk.residue, blk.alpha_ref)
-
-
-def _residue_lattice(s: _Search, blk: _Lattice) -> PairSequence:
-    """SF-1, DF-1: k runs over the witness residue class, aiming at one t*."""
-    return _m_rounding(s, blk, _k_lattice(s, *blk.k_class), blk.t_star)
-
-
-def _band_scan(s: _Search, blk: _Lattice) -> PairSequence:
-    """SF-3, DF-2.1, DF-3.1, DF-3.2: the ks of the window (or of a k step)
-    that `aim` keeps, each aiming at its own t*."""
-    assert blk.aim is not None
-    ks, t_star = blk.aim(_k_lattice(s, *blk.k_class))
-    return _m_rounding(s, blk, ks, t_star)
 
 
 def _band_aim(
@@ -715,7 +699,7 @@ def _sf_residue_block(s: _Search) -> _Lattice:
     log_gamma = math.log(abs(spec.gamma))
     t_star = math.log(bu / (spec.B_coef * math.sin(wit.r * spec.omega1 + spec.eta2))) / log_gamma
     return _Lattice(
-        k_class=(wit.r, q), m_class=(0, sign_period(spec)), t_star=t_star,
+        k_class=(wit.r, q), m_class=(0, sign_period(spec)), aim=lambda ks: (ks, t_star),
         slope=abs(bu) * log_gamma, residue={"r": wit.r, "q": q, "p": p}, alpha_ref=wit.alpha,
     )
 
@@ -731,8 +715,9 @@ def _df_residue_block(s: _Search) -> _Lattice:
     r1, r2 = wit.r, wit.r2 or 0
     s_star = frac(r1 * p1 / q1)
     w_star = frac(r2 * p2 / q2)
+    t_star = _df_target_tstar(spec, s_star, w_star)
     return _Lattice(
-        k_class=(r1, q1), m_class=(r2, q2), t_star=_df_target_tstar(spec, s_star, w_star),
+        k_class=(r1, q1), m_class=(r2, q2), aim=lambda ks: (ks, t_star),
         target=TorusTarget.horizontal_line(s_star, w_star),
         residue={"r1": r1, "r2": r2, "q1": q1, "p1": p1, "q2": q2, "p2": p2},
         alpha_ref=wit.alpha,
@@ -1006,23 +991,29 @@ def _df_tilted_block(s: _Search) -> _Line:
 
 
 def _df_line_block(s: _Search) -> _Line:
-    """DF-3.3.1: the line of both relations, w moving with s.  DF-3.3.2: w is
-    free on the line plane, so one profile per horizontal w slice."""
+    """DF-3.3.1: the line of both relations, w moving with s."""
     spec = s.spec
     p1, q1, p2, q2 = _tilted_relation(s)
     lg = math.log(spec.gamma)
     residue = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
-    if s.case is CaseTag.DF_3_3_1:
-        pq3, pq4 = _relation(s, ("omega1", "theta_omega2", "one"), "theta_omega2")
-        a_line = float(pq3) - spec.omega2 / TWO_PI * (p1 / q1)
-        prof = _Profile(
-            _line_profile(spec, lg, p1 / q1, lambda x: _df_waves(spec, TWO_PI * (a_line * x))),
-            lambda x: alpha_df(spec, TWO_PI * x, TWO_PI * frac(a_line * x)),
-            TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, a2=a_line), residue,
-        )
-        lattice = _df_line_lattice(s, q2 * pq4.denominator, q1 * pq3.denominator,
-                                   p2 * pq4.denominator, p1 * pq3.denominator)
-        return _Line([prof], lattice, per_profile=12, w_of=lambda x: frac(a_line * x))
+    pq3, pq4 = _relation(s, ("omega1", "theta_omega2", "one"), "theta_omega2")
+    a_line = float(pq3) - spec.omega2 / TWO_PI * (p1 / q1)
+    prof = _Profile(
+        _line_profile(spec, lg, p1 / q1, lambda x: _df_waves(spec, TWO_PI * (a_line * x))),
+        lambda x: alpha_df(spec, TWO_PI * x, TWO_PI * frac(a_line * x)),
+        TorusTarget.tilted_line(a1=-p1 / q1, b=0.0, a2=a_line), residue,
+    )
+    lattice = _df_line_lattice(s, q2 * pq4.denominator, q1 * pq3.denominator,
+                               p2 * pq4.denominator, p1 * pq3.denominator)
+    return _Line([prof], lattice, per_profile=12, w_of=lambda x: frac(a_line * x))
+
+
+def _df_slice_block(s: _Search) -> _Line:
+    """DF-3.3.2: w is free on the line plane; one profile per horizontal w slice."""
+    spec = s.spec
+    p1, q1, p2, q2 = _tilted_relation(s)
+    lg = math.log(spec.gamma)
+    residue = {"q1": q1, "p1": p1, "q2": q2, "p2": p2}
     profiles = [
         _Profile(
             _line_profile(spec, lg, p1 / q1, lambda x, _c=_df_waves(spec, TWO_PI * w): _c),
@@ -1037,22 +1028,73 @@ def _df_line_block(s: _Search) -> _Line:
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# The case table and the entry point
 # ---------------------------------------------------------------------------
 
-#: the kernel of each case tag and the builder of its parameter block
-_SEARCHES: dict[CaseTag, tuple[Callable[..., PairSequence], Callable[[_Search], Any]]] = {
-    CaseTag.SF_1: (_residue_lattice, _sf_residue_block),
-    CaseTag.DF_1: (_residue_lattice, _df_residue_block),
-    CaseTag.SF_3: (_band_scan, _sf_band_block),
-    CaseTag.DF_2_1: (_band_scan, _df_band_block),
-    CaseTag.DF_3_1: (_band_scan, _df_grid_block),
-    CaseTag.DF_3_2: (_band_scan, _df_plane_block),
-    CaseTag.SF_2: (_line_lattice, _sf_line_block),
-    CaseTag.DF_2_2: (_line_lattice, _df_tilted_block),
-    CaseTag.DF_3_3_1: (_line_lattice, _df_line_block),
-    CaseTag.DF_3_3_2: (_line_lattice, _df_line_block),
+@dataclass(frozen=True)
+class CaseInfo:
+    """A searched case tag and what the source paper's theorem for that tag
+    states; its blenders are those of Bonatti-Diaz (Ann. of Math. 143, 1996).
+
+    `block` builds the search's parameter block from the moduli that the
+    theorem's hypotheses declare, for a `cycle_type` cycle.  `kinds` are
+    the blenders the theorem yields, certified in this order: (None,), one
+    on the side the residue band picks (the SF-1 and DF-1 theorems, whose
+    residue the pipeline may take from the best `ranks` = 8); ("cs", "cu"),
+    two activating each other (SF-3, DF-2.1, DF-3.1, DF-3.2); ("cu",), one
+    related to the second orbit (SF-2, DF-2.2, DF-3.3.x).  `note` is that
+    conclusion in words, and `mu0_edges` the relations among L1, L2 and the
+    blenders the theorem gives without unfolding, in report order.  The
+    DF-2.x theorems also cover the `mirrored` arithmetic (omega1 rational,
+    omega2 irrational) through the inverse cycle, which is not searched.
+    """
+
+    block: Callable[[_Search], _Lattice | _Line]
+    cycle_type: CycleType
+    kinds: tuple[str | None, ...]
+    ranks: int
+    note: str
+    mu0_edges: tuple[_Edge, ...]
+    mirrored: bool = False
+
+
+#: kinds, ranks and note of the residue, band and line cases' conclusions
+_RESIDUE = ((None,), 8, "one blender; side decided by the residue band")
+_BAND = (("cs", "cu"), 1, "cs- and cu-blenders activating each other")
+_LINE = (("cu",), 1, "cu-blender related to the second orbit")
+#: a relation at mu = 0: the certificate kinds it needs, then src, dst, kind, note
+_Edge = tuple[tuple[str, ...], str, str, str, str]
+_CU_L2: _Edge = (("cu",), "cu", "L2", "homoclinic", "irrational rotation supplies the crossing")
+_BAND_EDGES: tuple[_Edge, ...] = (
+    _CU_L2,
+    (("cs", "cu"), "cu", "cs", "activates", ""),
+    (("cs", "cu"), "cs", "cu", "activates", ""),
+    (("cs", "cu"), "L2", "cs", "activates", "via the cu set related to L2"),
+)
+_CS_L1: _Edge = (("cs",), "cs", "L1", "homoclinic", "")
+_L1_CU: _Edge = (("cu",), "L1", "cu", "activates", "")
+_SF, _DF = CycleType.SADDLE_FOCUS, CycleType.DOUBLE_FOCUS
+
+#: every case tag with a pair search
+CASES: dict[CaseTag, CaseInfo] = {
+    CaseTag.SF_1: CaseInfo(_sf_residue_block, _SF, *_RESIDUE, ()),
+    CaseTag.SF_2: CaseInfo(_sf_line_block, _SF, *_LINE, (_CU_L2,)),
+    CaseTag.SF_3: CaseInfo(_sf_band_block, _SF, *_BAND, _BAND_EDGES),
+    CaseTag.DF_1: CaseInfo(_df_residue_block, _DF, *_RESIDUE, ()),
+    CaseTag.DF_2_1: CaseInfo(_df_band_block, _DF, *_BAND, _BAND_EDGES, mirrored=True),
+    CaseTag.DF_2_2: CaseInfo(_df_tilted_block, _DF, *_LINE, (_CU_L2,), mirrored=True),
+    CaseTag.DF_3_1: CaseInfo(_df_grid_block, _DF, *_BAND, (*_BAND_EDGES, _CS_L1)),
+    CaseTag.DF_3_2: CaseInfo(_df_plane_block, _DF, *_BAND, (*_BAND_EDGES, _CS_L1)),
+    CaseTag.DF_3_3_1: CaseInfo(_df_line_block, _DF, *_LINE, (_CU_L2, _L1_CU)),
+    CaseTag.DF_3_3_2: CaseInfo(_df_slice_block, _DF, *_LINE, (_CU_L2, _L1_CU)),
 }
+
+
+def case_info(case: CaseTag) -> CaseInfo:
+    """The table entry of a case tag; NotApplicable if it has no pair search."""
+    if case not in CASES:
+        raise NotApplicable(f"no pair search for case {case.value}")
+    return CASES[case]
 
 
 def search_pairs(
@@ -1072,33 +1114,31 @@ def search_pairs(
     `kind` requests the contraction side for cases producing both blenders
     ("cs" or "cu"); single-sided cases reject the impossible request.
     `residue_rank` skips to a lower-ranked admissible residue in the
-    residue-class cases.  An unconstrained search (eps = inf) returns the
-    first admissible pairs in the window.
+    residue-class cases.  The request is checked first, in this order:
+    `kind` is cs, cu or None (DomainError); the case has a pair search, its
+    tag fits the spec's cycle type, the arithmetic is not mirrored, and the
+    case yields `kind` (NotApplicable).  Only then does an unconstrained
+    search (eps = inf) return the first admissible pairs in the window.
     """
     s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, band,
                 scan_halfwidth, residue_rank)
-    if math.isinf(eps):
-        return _first_admissible(s)
     if kind not in (None, "cs", "cu"):
         raise DomainError("kind must be 'cs', 'cu', or None")
-    sf = spec.is_saddle_focus
-    if case in (CaseTag.SF_1, CaseTag.SF_2, CaseTag.SF_3) and not sf:
-        raise NotApplicable("saddle-focus case tag with a double-focus spec")
-    if case.value.startswith("DF") and sf:
-        raise NotApplicable("double-focus case tag with a saddle-focus spec")
-    if case in (CaseTag.DF_2_1, CaseTag.DF_2_2) and (
-        moduli.is_rational("omega1") and not moduli.is_rational("omega2")
-    ):
+    info = case_info(case)
+    if spec.cycle_type is not info.cycle_type:
+        raise NotApplicable(f"{info.cycle_type.value.replace('_', '-')} case tag with a "
+                            f"{spec.cycle_type.value.replace('_', '-')} spec")
+    if info.mirrored and moduli.is_rational("omega1") and not moduli.is_rational("omega2"):
         raise NotApplicable(
             "mirrored double-focus search (omega1 rational, omega2 irrational) "
             "requires the inverse-cycle return maps"
         )
-    if case not in _SEARCHES:
-        raise NotApplicable(f"no pair search for case {case.value}")
-    kernel, block = _SEARCHES[case]
-    if kernel is _line_lattice and kind == "cs":
-        raise NotApplicable(f"{case.value} guarantees only a cu band")
-    return kernel(s, block(s))
+    if kind is not None and None not in info.kinds and kind not in info.kinds:
+        raise NotApplicable(f"{case.value} guarantees only a {info.kinds[0]} band")
+    if math.isinf(eps):
+        return _first_admissible(s)
+    blk = info.block(s)
+    return _line_lattice(s, blk) if isinstance(blk, _Line) else _lattice(s, blk)
 
 
 def _first_admissible(s: _Search) -> PairSequence:

@@ -36,21 +36,18 @@ COMMANDS = (
     "simulate-cover", "cones", "unfold", "simple-check", "pipeline",
 )
 
-#: override keys accepted by --set (unknown keys are rejected)
-KNOWN_OVERRIDES = {
-    # spec fields
-    "lambda", "gamma", "omega1", "omega2", "A_coef", "B_coef", "b_coef",
-    "eta1", "eta2", "eta3", "delta", "c_frac",
-    # command knobs
-    "eps", "k_max", "m_max", "kind", "n_discs", "depth", "window_count",
-    "q", "p", "mu", "overlap_min", "c", "tol", "k_range", "m_range",
-    "unfold", "min_pairs", "K", "n_samples", "phi_bound", "k", "m",
-    "csv",
-}
-
 SPEC_FIELD_OVERRIDES = {
     "lambda", "gamma", "omega1", "omega2", "A_coef", "B_coef", "b_coef",
     "eta1", "eta2", "eta3", "delta", "c_frac",
+}
+
+#: override keys accepted by --set (unknown keys are rejected): the spec
+#: fields and the command knobs
+KNOWN_OVERRIDES = SPEC_FIELD_OVERRIDES | {
+    "eps", "k_max", "m_max", "kind", "n_discs", "depth", "window_count",
+    "q", "p", "overlap_min", "c", "tol", "k_range", "m_range",
+    "unfold", "min_pairs", "K", "n_samples", "phi_bound", "k", "m",
+    "csv",
 }
 
 
@@ -184,10 +181,6 @@ def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag,
     )
 
 
-#: cases whose search reads `residue_rank`; any other search ignores it
-_RESIDUE_CASES = {CaseTag.SF_1, CaseTag.DF_1}
-
-
 def _search_and_certify(
     config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag, kind: str | None
 ) -> tuple[arithmetic.PairSequence, blender_certifier.BlenderCertificate]:
@@ -195,7 +188,7 @@ def _search_and_certify(
     residue cases) when a residue's band is too strong for its pair density
     to cover."""
     last_exc: Exception | None = None
-    for rank in range(8 if case in _RESIDUE_CASES else 1):
+    for rank in range(arithmetic.case_info(case).ranks):
         try:
             seq = _search(config, spec, moduli, case, kind=kind, residue_rank=rank)
         except WindowExhausted as exc:
@@ -251,11 +244,7 @@ def _cmd_cones(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dic
     m = config.knob("m", None, int)
     if k is None or m is None:
         moduli = _require_moduli(moduli)
-        seq = arithmetic.search_pairs(
-            spec, moduli, cycle_model.classify_case(moduli, spec),
-            eps=config.knob("eps", 1e-3), window=_window(config),
-        )
-        k, m = seq.pairs[0]
+        k, m = _search(config, spec, moduli, cycle_model.classify_case(moduli, spec)).pairs[0]
     model = return_map.build_model(
         spec, k, m,
         phi_bound=config.knob("phi_bound", 0.0),
@@ -294,23 +283,6 @@ def _cmd_simple_check(config: RunConfig, spec: CycleSpec, moduli: Moduli | None)
     return {"exclusion": report, "verdict": simple_dynamics.simple_verdict(report)}
 
 
-_THEOREM_NOTES = {
-    CaseTag.SF_1: "one blender; side decided by the residue band",
-    CaseTag.SF_2: "cu-blender related to the second orbit",
-    CaseTag.SF_3: "cs- and cu-blenders activating each other",
-    CaseTag.DF_1: "one blender; side decided by the residue band",
-    CaseTag.DF_2_1: "cs- and cu-blenders activating each other",
-    CaseTag.DF_2_2: "cu-blender related to the second orbit",
-    CaseTag.DF_3_1: "cs- and cu-blenders activating each other",
-    CaseTag.DF_3_2: "cs- and cu-blenders activating each other",
-    CaseTag.DF_3_3_1: "cu-blender related to the second orbit",
-    CaseTag.DF_3_3_2: "cu-blender related to the second orbit",
-}
-
-_BOTH_KINDS = {CaseTag.SF_3, CaseTag.DF_2_1, CaseTag.DF_3_1, CaseTag.DF_3_2}
-_CU_ONLY = {CaseTag.SF_2, CaseTag.DF_2_2, CaseTag.DF_3_3_1, CaseTag.DF_3_3_2}
-
-
 def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
     moduli = _require_moduli(moduli)
     validation = cycle_model.validate_nondegeneracy(spec)
@@ -319,7 +291,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
     case = cycle_model.classify_case(moduli, spec)
     payload: dict[str, Any] = {"case": case.value, "validation": validation}
 
-    if case in (CaseTag.SF_RATIONAL_ALL, CaseTag.DF_RATIONAL_ALL):
+    if case not in arithmetic.CASES:  # every modulus rational
         report = simple_dynamics.exclusion_sets(spec, moduli)
         report = replace(report, scan=simple_dynamics.brute_scan(spec, moduli))
         payload["exclusion"] = report
@@ -335,17 +307,10 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
             spec, f1.denominator, f1.numerator, f2.denominator, f2.numerator
         )
 
-    kinds: tuple[str | None, ...]
-    if case in _BOTH_KINDS:
-        kinds = ("cs", "cu")
-    elif case in _CU_ONLY:
-        kinds = ("cu",)
-    else:
-        kinds = (None,)
-
+    info = arithmetic.CASES[case]
     certificates = []
     simulations = []
-    for kind in kinds:
+    for kind in info.kinds:
         _, cert = _search_and_certify(config, spec, moduli, case, kind)
         sim = blender_certifier.simulate_covering(
             spec, cert,
@@ -357,7 +322,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
         simulations.append(sim)
     payload["certificates"] = certificates
     payload["simulations"] = simulations
-    payload["note"] = _THEOREM_NOTES.get(case, "")
+    payload["note"] = info.note
 
     if len(certificates) == 2:
         payload["activation"] = blender_certifier.check_activation(

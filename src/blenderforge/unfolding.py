@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .arithmetic import SearchWindow, check_A1
+from .arithmetic import CASES, SearchWindow, check_A1
 from .blender_certifier import BlenderCertificate, _pull_back
 from .cycle_model import CaseTag, CycleSpec, Moduli
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
@@ -340,24 +340,16 @@ def homoclinic_report(
     edges: list[RelationEdge] = []
 
     if mu == 0.0:
-        if case in (CaseTag.SF_2, CaseTag.SF_3) or case.value.startswith("DF-2") \
-                or case.value.startswith("DF-3"):
-            if cu is not None:
-                edges.append(RelationEdge("cu", "L2", "homoclinic", None,
-                                          "irrational rotation supplies the crossing"))
-        if case in (CaseTag.SF_3, CaseTag.DF_2_1, CaseTag.DF_3_1, CaseTag.DF_3_2):
-            if cs is not None and cu is not None:
-                ok_ab, _ = _simulate_crossing(cs, cu.x_center - cs.x_center, seed, depth)
-                ok_ba, _ = _simulate_crossing(cu, cs.x_center - cu.x_center, seed + 1, depth)
-                edges.append(RelationEdge("cu", "cs", "activates", ok_ba))
-                edges.append(RelationEdge("cs", "cu", "activates", ok_ab))
-                edges.append(RelationEdge("L2", "cs", "activates", None,
-                                          "via the cu set related to L2"))
-        if case in (CaseTag.DF_3_1, CaseTag.DF_3_2):
-            if cs is not None:
-                edges.append(RelationEdge("cs", "L1", "homoclinic", None))
-        if case in (CaseTag.DF_3_3_1, CaseTag.DF_3_3_2) and cu is not None:
-            edges.append(RelationEdge("L1", "cu", "activates", None))
+        blenders = {"cs": cs, "cu": cu}
+        for needs, src, dst, kind, note in CASES[case].mu0_edges if case in CASES else ():
+            if any(blenders[k] is None for k in needs):
+                continue
+            verified = None
+            if src in blenders and dst in blenders:  # one blender activating the other
+                a, b = blenders[src], blenders[dst]
+                verified, _ = _simulate_crossing(
+                    a, b.x_center - a.x_center, seed if src == "cs" else seed + 1, depth)
+            edges.append(RelationEdge(src, dst, kind, verified, note))
         if not edges:
             raise OutsideWindows(
                 "mu = 0 provides no relations for this case (rational rotation)"

@@ -308,16 +308,60 @@ def test_sf_case_tag_mismatch_rejected(df1_setup):
         bf.search_pairs(spec, moduli, bf.CaseTag.SF_1, eps=1e-3)
 
 
-def test_kind_request_rejected_for_single_sided_case():
-    w1 = W1_IRR
-    theta = 0.5 * w1 + 1 / 3
-    spec = sf_spec(theta=theta, w_hat=w1)
+@pytest.mark.parametrize("doc", ["sf_2_0", "df_2_2_3", "df_3_3_1_0", "df_3_3_2_0"])
+def test_kind_request_rejected_for_single_sided_case(doc):
+    # the line cases yield only a cu-blender
+    spec, moduli = bf.load_spec_document(str(DATA / f"{doc}.json"))
+    case = bf.classify_case(moduli, spec)
+    with pytest.raises(bf.NotApplicable, match="only a cu band"):
+        bf.search_pairs(spec, moduli, case, eps=1e-2, kind="cs")
+
+
+def mirrored_df_2_x(dependent=False):
+    """Double focus with omega1/2pi = 1/3 rational and omega2/2pi irrational,
+    {theta, omega2, 1} independent (DF-2.1 for the inverse cycle) or
+    dependent (DF-2.2)."""
+    theta = 0.5 * W1_IRR + 1 / 3 if dependent else math.sqrt(2)
+    spec = df_spec(theta=theta, w2_hat=W1_IRR)
     moduli = bf.moduli_from_declarations(
-        spec, bf.IRRATIONAL, bf.IRRATIONAL,
-        relations=[{"theta": 6, "omega1": -3, "one": -2}],
+        spec, bf.IRRATIONAL, bf.RationalClass(1, 3), bf.IRRATIONAL,
+        relations=[{"theta": 6, "omega2": -3, "one": -2}] if dependent else (),
+        flags=None if dependent else {"omega2+one+theta": "independent"},
     )
-    with pytest.raises(bf.NotApplicable):
-        bf.search_pairs(spec, moduli, bf.CaseTag.SF_2, eps=1e-2, kind="cs")
+    return spec, moduli
+
+
+@pytest.mark.parametrize("tag", ["DF-2.1", "DF-2.2"])
+def test_mirrored_double_focus_search_not_applicable(tag):
+    spec, moduli = mirrored_df_2_x(dependent=tag == "DF-2.2")
+    assert bf.classify_case(moduli, spec) is bf.CaseTag(tag)
+    with pytest.raises(bf.NotApplicable, match="inverse-cycle return maps"):
+        bf.search_pairs(spec, moduli, bf.CaseTag(tag), eps=1e-3)
+
+
+def sf_1_0():
+    return bf.load_spec_document(str(DATA / "sf_1_0.json"))
+
+
+#: searches every check rejects, with the error it raises: a case tag of the
+#: other cycle type, an unknown kind, a cs request in a cu-only case, a tag
+#: with no pair search, and the mirrored DF-2.1 case
+REJECTED_SEARCHES = {
+    "df_tag_on_sf_spec": (sf_1_0, bf.CaseTag.DF_1, None, bf.NotApplicable),
+    "bogus_kind": (sf_1_0, bf.CaseTag.SF_1, "bogus", bf.DomainError),
+    "cs_in_cu_only_case": (sf_1_0, bf.CaseTag.SF_2, "cs", bf.NotApplicable),
+    "rational_all_tag": (sf_1_0, bf.CaseTag.SF_RATIONAL_ALL, None, bf.NotApplicable),
+    "mirrored_df_2_1": (mirrored_df_2_x, bf.CaseTag.DF_2_1, None, bf.NotApplicable),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_SEARCHES))
+def test_search_validates_before_unconstrained_shortcut(name):
+    load, case, kind, error = REJECTED_SEARCHES[name]
+    spec, moduli = load()
+    for eps in (1e-3, math.inf):
+        with pytest.raises(error):
+            bf.search_pairs(spec, moduli, case, eps=eps, kind=kind)
 
 
 def test_sf2_pairs_expand(sf3_setup):

@@ -77,9 +77,11 @@ def test_loose_tolerance_scan_memory_bounded():
     assert peak < 64 * 2**20
 
 
-def test_grid_override_rejected():
-    with pytest.raises(ValueError, match="grid"):
-        cli.RunConfig("simple-check", str(DATA / "sf_rational_simple.json"), {"grid": "9"})
+@pytest.mark.parametrize("key", ["grid", "mu"])
+def test_grid_override_rejected(key):
+    # neither key is read by any command
+    with pytest.raises(ValueError, match=key):
+        cli.RunConfig("simple-check", str(DATA / "sf_rational_simple.json"), {key: "9"})
 
 
 #: documents of the `search-pairs` goldens, each run at the default eps and
@@ -106,6 +108,22 @@ SIMULATION_CASES = {
     "pipeline_sf_3_1_eps1e-2": ("pipeline", "sf_3_1", {"eps": "1e-2"}),
     "pipeline_sf_2_0_eps1e-2": ("pipeline", "sf_2_0", {"eps": "1e-2"}),
     "simulate_cover_sf_1_0": ("simulate-cover", "sf_1_0", {}),
+}
+
+#: command, document and --set overrides of the goldens that pin what the
+#: case table decides where the goldens above do not: DF-1 certifying its
+#: one blender, the tags with no pipeline golden above (each stops at a
+#: search or certify error), and `cones`, which searches like every other
+#: command
+TABLE_CASES = {
+    "pipeline_df_1_2_eps1e-2": ("pipeline", "df_1_2", {"eps": "1e-2"}),
+    "pipeline_df_2_2_3_eps1e-2": ("pipeline", "df_2_2_3", {"eps": "1e-2"}),
+    "pipeline_df_3_1_from_df_3_3_2_0": ("pipeline", "df_3_1_from_df_3_3_2_0", {}),
+    "pipeline_df_3_2_from_df_2_1_1_eps1e-2": ("pipeline", "df_3_2_from_df_2_1_1", {"eps": "1e-2"}),
+    "pipeline_df_3_3_1_1_eps1e-2": ("pipeline", "df_3_3_1_1", {"eps": "1e-2"}),
+    "pipeline_df_3_3_2_0_eps1e-2": ("pipeline", "df_3_3_2_0", {"eps": "1e-2"}),
+    "cones_sf_1_0": ("cones", "sf_1_0", {}),
+    "cones_df_2_1_1": ("cones", "df_2_1_1", {}),
 }
 
 #: exit status of each payload's error stage (None: no error)
@@ -140,3 +158,15 @@ def test_pipeline_golden(doc, workers, tmp_path, capsys):
 def test_simulation_golden(name, workers, tmp_path, capsys):
     command, doc, overrides = SIMULATION_CASES[name]
     _run_golden(command, doc, overrides, name, tmp_path, capsys, workers=workers)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_case_table_golden(name, tmp_path, capsys):
+    command, doc, overrides = TABLE_CASES[name]
+    _run_golden(command, doc, overrides, name, tmp_path, capsys)
+
+
+def test_cones_search_reads_min_pairs(capsys):
+    config = cli.RunConfig("cones", str(DATA / "sf_1_0.json"), {"min_pairs": "1000000"})
+    assert cli.run(config) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["stage"] == "search"

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import blenderforge as bf
-from conftest import sf_spec
+from conftest import W1_IRR, sf_spec
 
 
 def window_spec():
@@ -127,15 +127,57 @@ def test_homoclinic_report_outside_windows(mu_setup):
         bf.homoclinic_report(spec, 0.33, certs, moduli, bf.CaseTag.SF_1)
 
 
-def test_homoclinic_report_mu_zero_mutual(sf3_setup):
-    spec, moduli = sf3_setup
+CU_L2 = ("cu", "L2", "homoclinic")
+MUTUAL = (("cu", "cs", "activates"), ("cs", "cu", "activates"), ("L2", "cs", "activates"))
+CS_L1 = ("cs", "L1", "homoclinic")
+L1_CU = ("L1", "cu", "activates")
+
+#: the ordered mu = 0 edges of each case tag given a cs- and a cu-, only a
+#: cs- or only a cu-certificate; None: the report raises OutsideWindows
+MU_ZERO_EDGES = {
+    "SF-1": (None, None, None),
+    "SF-2": ((CU_L2,), None, (CU_L2,)),
+    "SF-3": ((CU_L2, *MUTUAL), None, (CU_L2,)),
+    "SF-rational-all": (None, None, None),
+    "DF-1": (None, None, None),
+    "DF-2.1": ((CU_L2, *MUTUAL), None, (CU_L2,)),
+    "DF-2.2": ((CU_L2,), None, (CU_L2,)),
+    "DF-3.1": ((CU_L2, *MUTUAL, CS_L1), (CS_L1,), (CU_L2,)),
+    "DF-3.2": ((CU_L2, *MUTUAL, CS_L1), (CS_L1,), (CU_L2,)),
+    "DF-3.3.1": ((CU_L2, L1_CU), None, (CU_L2, L1_CU)),
+    "DF-3.3.2": ((CU_L2, L1_CU), None, (CU_L2, L1_CU)),
+    "DF-rational-all": (None, None, None),
+}
+
+
+@pytest.fixture(scope="module")
+def sf3_certs():
+    spec = sf_spec(w_hat=W1_IRR)
+    moduli = bf.moduli_from_declarations(
+        spec, bf.IRRATIONAL, bf.IRRATIONAL, flags={"theta+omega1+one": "independent"})
     cs = bf.certify(spec, bf.search_pairs(spec, moduli, bf.CaseTag.SF_3, eps=1e-3, kind="cs"))
     cu = bf.certify(spec, bf.search_pairs(spec, moduli, bf.CaseTag.SF_3, eps=1e-3, kind="cu"))
-    report = bf.homoclinic_report(spec, 0.0, [cs, cu], moduli, bf.CaseTag.SF_3)
-    kinds = {(e.src, e.dst, e.kind) for e in report.edges}
-    assert ("cu", "cs", "activates") in kinds
-    assert ("cs", "cu", "activates") in kinds
-    assert ("cu", "L2", "homoclinic") in kinds
+    return spec, moduli, cs, cu
+
+
+@pytest.mark.parametrize("subset", ["cs+cu", "cs", "cu"])
+@pytest.mark.parametrize("tag", list(MU_ZERO_EDGES))
+def test_homoclinic_report_mu_zero_mutual(sf3_certs, tag, subset):
+    # at mu = 0 the case alone decides the edges; the SF-3 certificates
+    # stand in for the blenders of every tag
+    spec, moduli, cs, cu = sf3_certs
+    certs = {"cs+cu": [cs, cu], "cs": [cs], "cu": [cu]}[subset]
+    expected = MU_ZERO_EDGES[tag][["cs+cu", "cs", "cu"].index(subset)]
+    case = bf.CaseTag(tag)
+    if expected is None:
+        with pytest.raises(bf.OutsideWindows):
+            bf.homoclinic_report(spec, 0.0, certs, moduli, case)
+        return
+    report = bf.homoclinic_report(spec, 0.0, certs, moduli, case)
+    assert tuple((e.src, e.dst, e.kind) for e in report.edges) == expected
+    # an edge between the two blenders is simulated, the others are asserted
+    for e in report.edges:
+        assert (e.verified is None) == bool({e.src, e.dst} & {"L1", "L2"})
 
 
 def test_homoclinic_report_mu_zero_rational_case_raises(mu_setup):

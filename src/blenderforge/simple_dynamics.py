@@ -4,7 +4,9 @@ With all moduli rational the powers lambda^k * gamma^m live on a discrete
 set of magnitudes |gamma|^(s/q'), so two distinct return visits can balance
 the same splitting value only if certain coefficient ratios land in
 countable closed value sets.  `exclusion_sets` reports distances to the
-truncated sets (closure limit points included explicitly); `brute_scan`
+truncated sets (closure limit points included explicitly), finding the
+double-focus ones by sort-and-search over the family's two separable
+factors and re-evaluating only the candidates, bit for bit; `brute_scan`
 minimizes the two-pair residual over bounded index ranges, exactly over the
 cube of positions (each term is affine in one cube variable, so the minimum
 is 0 or sits at a vertex), and classifies any near-solutions found.
@@ -133,22 +135,6 @@ def _sf_factors(gamma: float, lam: float, ratio, trunc: TruncationRanges) -> np.
     return factors.reshape(len(ratio), -1)
 
 
-def _df_log_factors(gamma: float, lam: float, rho, sigma, trunc: TruncationRanges) -> np.ndarray:
-    """log|F(ell, n)| of the double-focus family F = (rho - gamma^-n) / D(ell),
-    one row per (rho, sigma) entry; closure terms included.
-
-    D is sigma - lam^ell when the later-m visit has the larger k, and
-    1 - sigma*lam^ell when it has the smaller k.
-    """
-    lam_pows, gam_pows = _powers(gamma, lam, trunc)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))[:, None]
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))[:, None]
-    den = np.concatenate((sigma - lam_pows, 1.0 - sigma * lam_pows), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f = np.log(np.abs(rho - gam_pows))[:, None, :] - np.log(np.abs(den))[:, :, None]
-    return log_f.reshape(len(rho), -1)
-
-
 def _family_distances(targets, gamma: float, q_prime: int,
                       log_factors: np.ndarray, s_max: int) -> np.ndarray:
     """Row-wise min over s in [-s_max, s_max] and the factors F with
@@ -179,27 +165,195 @@ def _family_distances(targets, gamma: float, q_prime: int,
         above = np.maximum(np.ceil(zi), -s_max) - zi
         gap_lo[i] = np.min(below[zi >= -s_max], initial=np.inf)
         gap_hi[i] = np.min(above[zi <= s_max], initial=np.inf)
+    return _gap_distances(t, gap_lo, gap_hi, h)
+
+
+def _gap_distances(t: np.ndarray, gap_lo: np.ndarray, gap_hi: np.ndarray, h: float) -> np.ndarray:
+    """t * min(1 - e^(-gap_lo h), e^(gap_hi h) - 1): the distance from t to
+    its nearest family values, gap_lo below and gap_hi above z on the s-grid."""
     return t * np.minimum(-np.expm1(-gap_lo * h), np.expm1(gap_hi * h))
 
 
-def _distance_to_family(
-    target: float,
-    gamma: float,
-    lam: float,
-    q_prime: int,
-    ratio: float,
-    trunc: TruncationRanges,
-) -> float:
-    """min over (s, ell, n) of |target - |gamma|^(s/q') * F(ell, n)|, the
-    signed distance to the values `exclusion_elements` enumerates.
+def _unit_distances(targets, gamma: float, q_prime: int, s_max: int) -> np.ndarray:
+    """Distance of each |target| to the values |gamma|^(s/q'), s in
+    [-s_max, s_max], and the point 0: the one-factor family F = 1 that the
+    a*b memberships measure.  A zero target is the point 0 itself."""
+    t = np.abs(np.asarray(targets, dtype=float))
+    log_f = np.where(t > 0, 0.0, np.nan)[:, None]
+    return _family_distances(t, gamma, q_prime, log_f, s_max)
 
-    A factor of the other sign than target, or zero, never comes closer
-    than the point 0, so only the same-sign factors are measured.
+
+#: fast key rows per block of `_df_family_distances`, and candidate pairs per
+#: block of its exact re-evaluation; the blocks bound its working set
+DF_ROW_BLOCK = 256
+DF_CANDIDATE_BLOCK = 1 << 14
+#: rows per `_family_distances` call where `_df_family_distances` falls
+#: back; such a row holds all its factors, 7442 at the default truncation
+DF_FALLBACK_BLOCK = 8
+#: the copies frac(v) + k, k = -2..2, of each denominator value, and the
+#: spacing of the denominator rows in the one sorted key array
+_COPIES = np.arange(-2.0, 3.0)
+_ROW_SPACING = 8.0
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The aranges [starts[i], starts[i] + counts[i]) concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+def _count_blocks(counts: np.ndarray, size: int) -> Iterator[tuple[int, int]]:
+    """Runs [i0, i1) of consecutive entries whose counts sum to at most
+    size, or single entries whose count alone exceeds it."""
+    ends = np.cumsum(counts)
+    i0 = 0
+    while i0 < len(counts):
+        done = int(ends[i0 - 1]) if i0 else 0
+        i1 = max(int(np.searchsorted(ends, done + size, "right")), i0 + 1)
+        yield i0, i1
+        i0 = i1
+
+
+def _distinct_by_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of each row of x, sorted within the row: (row of
+    each value, the values, index of each row's first value)."""
+    x = np.sort(x, axis=1)
+    new = np.ones(x.shape, dtype=bool)
+    new[:, 1:] = x[:, 1:] != x[:, :-1]
+    counts = new.sum(axis=1)
+    return np.repeat(np.arange(len(x)), counts), x[new], np.cumsum(counts) - counts
+
+
+def _df_family_distances(targets, gamma: float, q_prime: int, num: np.ndarray,
+                         den: np.ndarray, den_row: np.ndarray, s_max: int) -> np.ndarray:
+    """`_family_distances` of a separable family, row for row and bit for
+    bit: row i has the factors log|F| = num[i, n] - den[den_row[i], j].
+
+    Separation.  In the double focus num[i, n] = log|rho_i - gamma^-n| and
+    den[., j] = log|D_j(sigma)|, which depends only on the key's sigma, so
+    a spec has at most q2^2 den rows against up to (q1 q2)^2 keys.  With
+    h = log|gamma| / q' and L = log|target|, `_family_distances` needs only
+    the least and the greatest F = fl(z - floor z) over the row, where
+    z = fl(fl(L - fl(num - den)) / h).  Equal num values in a row, or den
+    values in a den row, give equal z, so each value counts once.
+
+    Clamp test.  Rounding is monotone, so z is monotone in num and in den,
+    and its extremes over a row are exactly its values at the corners
+    (min num, max den) and (max num, min den).  A row with a non-finite
+    entry or L, or whose z range leaves [-s_max, s_max], goes to
+    `_family_distances` as it is, DF_FALLBACK_BLOCK rows at a time.
+
+    Error bound.  Put c = fl(1 - frac(fl(fl(L - num) / h))) per num value
+    and V = frac(fl(den / h)) per den value, with frac x = fl(x - floor x),
+    and ft = (V - c) mod 1 in exact arithmetic on these floats.  F lies
+    within E of ft on the circle of circumference 1, for
+        E = 8 u (R + 1),   R = (|L| + max|num| + max|den|) / |h|,
+    u = 2^-53: z lies within 3.01 u R of zeta = (L - num + den) / h (three
+    roundings; |zeta| and |num - den| / |h| are at most R), the split sum
+    fl(fl(L - num) / h) + fl(den / h) within 2.01 u R of zeta, and the
+    three fractional parts and 1 - frac round by at most u each, u
+    (5.02 R + 4) in all.  Each den row sorts the copies V + k, k = -2..2,
+    offset by 8 times its index, into one key array; the offsets and the
+    window ends round by less than S = 8 u (offset_max + 4) in all.  Put
+    reach = E + S.
+
+    Search.  For each num value, searchsorted finds the first key at least
+    reach above c and the last key at least reach below it: the least and
+    the greatest ft among the entries at least reach from an integer.  Over
+    the row they give m and M; put T = m + reach and T' = M - reach.  The
+    candidates are the keys with V - c in [T' - 1 - reach, T + reach], that
+    is every entry with ft in [0, T + reach] or [T' - reach, 1).  They
+    include the wrap side, the entries with ft within reach below or above
+    an integer, whose F may lie on its other side.  Every other entry has
+    T < F < T'.  The entry that gave m is a candidate with F <= T, and the
+    one that gave M a candidate with F >= T'.  So the least and the greatest
+    F over the candidates, re-evaluated by the same float operations as in
+    `_family_distances`, are the row's, and the bytes hold.  A row where
+    they fall on the wrong side of T or T', which the bound rules out, falls
+    back.  The search runs in blocks of DF_ROW_BLOCK rows and
+    DF_CANDIDATE_BLOCK candidates: saturated rows (sigma - lam^ell rounds
+    to sigma at large ell) hold many exact ties.
     """
-    factors = _sf_factors(gamma, lam, ratio, trunc)
-    with np.errstate(divide="ignore"):
-        log_f = np.where((factors > 0) == (target > 0), np.log(np.abs(factors)), np.nan)
-    return float(_family_distances(target, gamma, q_prime, log_f, trunc.s_max)[0])
+    t = np.abs(np.asarray(targets, dtype=float))
+    h = math.log(abs(gamma)) / q_prime
+    out = np.empty(len(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t = np.log(t)
+        den_lo, den_hi = den.min(axis=1)[den_row], den.max(axis=1)[den_row]
+        num_lo, num_hi = num.min(axis=1), num.max(axis=1)
+        corner1 = (log_t - (num_lo - den_hi)) / h
+        corner2 = (log_t - (num_hi - den_lo)) / h
+    fast = np.isfinite(corner1) & np.isfinite(corner2) \
+        & (np.maximum(corner1, corner2) <= s_max) & (np.minimum(corner1, corner2) >= -s_max)
+    fast_rows = np.flatnonzero(fast)
+    slow = [np.flatnonzero(~fast)]
+    if len(fast_rows):
+        keys = _DenKeys(den, h)
+        for r0 in range(0, len(fast_rows), DF_ROW_BLOCK):
+            rows = fast_rows[r0:r0 + DF_ROW_BLOCK]
+            least, most = keys.frac_extremes(log_t[rows], num[rows], den_row[rows])
+            found = np.isfinite(least)
+            out[rows[found]] = _gap_distances(t[rows[found]], least[found], 1.0 - most[found], h)
+            slow.append(rows[~found])
+    slow_rows = np.concatenate(slow)
+    for r0 in range(0, len(slow_rows), DF_FALLBACK_BLOCK):
+        rows = slow_rows[r0:r0 + DF_FALLBACK_BLOCK]
+        with np.errstate(invalid="ignore"):
+            log_f = num[rows][:, None, :] - den[den_row[rows]][:, :, None]
+        out[rows] = _family_distances(t[rows], gamma, q_prime, log_f.reshape(len(rows), -1), s_max)
+    return out
+
+
+class _DenKeys:
+    """The distinct finite-row values of `den`, and one sorted key array of
+    frac(fl(value / h)) + k + 8 * (den row) for k = -2..2, as
+    `_df_family_distances` states."""
+
+    def __init__(self, den: np.ndarray, h: float):
+        self.h = h
+        self.den_abs = np.abs(den).max(axis=1)
+        finite = np.isfinite(den).all(axis=1)
+        row, self.values, _ = _distinct_by_row(den[finite])
+        row = np.flatnonzero(finite)[row]
+        v = self.values / h
+        keys = ((v - np.floor(v)) + (_COPIES[:, None] + _ROW_SPACING * row)).ravel()
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.value_of_key = order % len(self.values)
+        self.slack = 8 * _UNIT_ROUNDOFF * (_ROW_SPACING * (len(den) - 1) + 4)
+
+    def frac_extremes(self, log_t, num, den_row) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest F per row, found as the kernel states;
+        (inf, -inf) for a row whose candidates do not show them."""
+        h, keys = self.h, self.keys
+        row, num_v, starts = _distinct_by_row(num)
+        u = (log_t[row] - num_v) / h
+        q = (1.0 - (u - np.floor(u))) + _ROW_SPACING * den_row[row]
+        err = 8 * _UNIT_ROUNDOFF * (
+            (np.abs(log_t) + np.abs(num).max(axis=1) + self.den_abs[den_row]) / abs(h) + 1.0)
+        reach = err + self.slack
+        # the least and greatest ft that lie at least `reach` from an integer
+        above = np.searchsorted(keys, q + reach[row])
+        below = np.searchsorted(keys, q - reach[row]) - 1
+        top = np.minimum.reduceat(keys[above] - q, starts) + reach
+        bottom = np.maximum.reduceat(keys[below] - q, starts) + 1.0 - reach
+        lo = np.searchsorted(keys, q + (bottom - reach - 1.0)[row], "left")
+        counts = np.searchsorted(keys, q + (top + reach)[row], "right") - lo
+        least = np.full(len(log_t), np.inf)
+        most = np.full(len(log_t), -np.inf)
+        for i0, i1 in _count_blocks(counts, DF_CANDIDATE_BLOCK):
+            pair = np.repeat(np.arange(i0, i1), counts[i0:i1])
+            den_v = self.values[self.value_of_key[_ranges(lo[i0:i1], counts[i0:i1])]]
+            z = log_t[row[pair]] - (num_v[pair] - den_v)
+            z /= h
+            frac = z - np.floor(z)
+            np.minimum.at(least, row[pair], frac)
+            np.maximum.at(most, row[pair], frac)
+        shown = (least <= top) & (most >= bottom)
+        least[~shown], most[~shown] = np.inf, -np.inf
+        return least, most
 
 
 @dataclass(frozen=True)
@@ -294,7 +448,18 @@ def exclusion_sets(
     (n >= 1, ell of either sign).  They balance iff
     |c_r2 / b_r1r2| = |gamma|^(s/q') |rho - gamma^-n| / |D| with
     rho = beta' / beta, sigma = kappa' / kappa, D = sigma - lam^ell for
-    ell > 0 and 1 - sigma lam^-ell for ell < 0 (`_df_log_factors`).
+    ell > 0 and 1 - sigma lam^-ell for ell < 0.
+
+    The double-focus family separates: log|F| = log|rho - gamma^-n| -
+    log|D(sigma)|, and sigma depends on (r2, r2p) alone.  `_df_rows` builds
+    the two parts for every key of the spec at once, and
+    `_df_family_distances` searches them by sort-and-search, re-evaluating
+    only the candidate factors by the float operations of
+    `_family_distances`, so each distance is the one the full grid of
+    (n_max + 1) * 2 (ell_max + 1) factors gives, bit for bit.  The a*b
+    memberships (|A sin(. + eta1)| per residue for the saddle focus, |a_r1r2|
+    for the double focus) are measured against |gamma|^(s/q') in one
+    `_unit_distances` call per spec.
     """
     _require_rational(moduli, spec)
     trunc = trunc or TruncationRanges()
@@ -312,7 +477,6 @@ def exclusion_sets(
         ax = pack["a"] * pack["x_plus"]     # = B*sin(. + eta2) / b
         ab = pack["a"] * spec.b_coef        # = A*sin(. + eta1)
         ratio_d: dict[str, float] = {}
-        ab_d: dict[str, float] = {}
         live = np.flatnonzero((np.abs(s1) > zero_tol) & (np.abs(s2) > zero_tol))
         for r1 in live:
             factors = _sf_factors(spec.gamma, spec.lam, ax[live] / ax[r1], trunc)
@@ -322,16 +486,14 @@ def exclusion_sets(
                 spec.u_scalar / ax[r1], spec.gamma, q_prime, log_f, trunc.s_max
             )
             ratio_d.update((f"{r1},{r2}", float(d)) for r2, d in zip(live, dists))
-            ab_d[str(r1)] = _distance_to_family(
-                abs(ab[r1]), spec.gamma, spec.lam, q_prime, 1.0,
-                TruncationRanges(trunc.s_max, 0, 0),
-            )
+        ab_dists = _unit_distances(ab[live], spec.gamma, q_prime, trunc.s_max)
+        ab_d = {str(r1): d for r1, d in zip(live.tolist(), ab_dists.tolist())}
         return ExclusionReport(eta_ok, ratio_d, ab_d, trunc)
 
     f2 = moduli.rational("omega2")
     q2, p2 = f2.denominator, f2.numerator
     pack = _df_pack(spec, q1, p1, q2, p2)
-    a, b, c = pack["a"], pack["b"], pack["c"]
+    a = pack["a"]
     rs1 = np.arange(q1) * TWO_PI * p1 / q1
     rs2 = np.arange(q2) * TWO_PI * p2 / q2
     assert spec.eta3 is not None
@@ -339,37 +501,43 @@ def exclusion_sets(
         "eta1": bool(np.min(np.abs(np.sin(rs1 + spec.eta1))) > zero_tol),
         "eta2": bool(np.min(np.abs(np.sin(rs1 + spec.eta2))) > zero_tol),
         "eta3": bool(
-            np.isfinite(c).all()
+            np.isfinite(pack["c"]).all()
             and np.min(np.abs(np.cos(rs2 + spec.eta3))) > zero_tol
         ),
     }
+    first, keys, targets, num, den, den_row = _df_rows(pack, spec.gamma, spec.lam, trunc, zero_tol)
+    dists = _df_family_distances(targets, spec.gamma, q_prime, num, den, den_row, trunc.s_max)
+    ratio_d = {f"{r1},{r2}->{r1p},{r2p}": d
+               for r1, r2, r1p, r2p, d in zip(*(k.tolist() for k in keys), dists.tolist())}
+    r1s, r2s = np.nonzero(first & np.isfinite(a))
+    ab_dists = _unit_distances(a[r1s, r2s], spec.gamma, q_prime, trunc.s_max)
+    ab_d = {f"{r1},{r2}": d for r1, r2, d in zip(r1s.tolist(), r2s.tolist(), ab_dists.tolist())}
+    return ExclusionReport(eta_ok, ratio_d, ab_d, trunc)
+
+
+def _df_rows(pack: dict[str, np.ndarray], gamma: float, lam: float,
+             trunc: TruncationRanges, zero_tol: float):
+    """The double-focus ratio keys and the `_df_family_distances` inputs of
+    their rows, as `exclusion_sets` states them.
+
+    Returns the mask of first residues (r1, r2), the keys as index arrays
+    (r1, r2, r1p, r2p) in lexicographic order, and per key the target
+    c_r2 / b_r1r2, num[n] = log|rho - gamma^-n| and its den row
+    r2 * q2 + r2p; den[r2 * q2 + r2p] holds log|D(ell)| at sigma =
+    kappa_r2p / kappa_r2, the sigma - lam^ell entries first.
+    """
+    b, c = pack["b"], pack["c"]
     beta = b / pack["ell"][None, :]
     kappa = c / pack["ell"]
     live = np.isfinite(beta)
-    ratio_d = {}
-    ab_d = {}
-    for r1 in range(q1):
-        for r2 in range(q2):
-            if not (live[r1, r2] and abs(b[r1, r2]) > zero_tol):
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sigma = kappa / kappa[r2]
-            for r1p in range(q1):
-                r2ps = np.flatnonzero(live[r1p])
-                rho = beta[r1p, r2ps] / beta[r1, r2]
-                log_f = _df_log_factors(spec.gamma, spec.lam, rho, sigma[r2ps], trunc)
-                dists = _family_distances(
-                    c[r2] / b[r1, r2], spec.gamma, q_prime, log_f, trunc.s_max
-                )
-                ratio_d.update(
-                    (f"{r1},{r2}->{r1p},{r2p}", float(d)) for r2p, d in zip(r2ps, dists)
-                )
-            if math.isfinite(a[r1, r2]):
-                ab_d[f"{r1},{r2}"] = _distance_to_family(
-                    abs(a[r1, r2]), spec.gamma, spec.lam, q_prime, 1.0,
-                    TruncationRanges(trunc.s_max, 0, 0),
-                )
-    return ExclusionReport(eta_ok, ratio_d, ab_d, trunc)
+    lam_pows, gam_pows = _powers(gamma, lam, trunc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = live & (np.abs(b) > zero_tol)
+        keys = r1, r2, r1p, r2p = np.nonzero(first[:, :, None, None] & live)
+        num = np.log(np.abs((beta[r1p, r2p] / beta[r1, r2])[:, None] - gam_pows))
+        sigma = (kappa[None, :] / kappa[:, None]).reshape(-1, 1)
+        den = np.log(np.abs(np.concatenate((sigma - lam_pows, 1.0 - sigma * lam_pows), axis=1)))
+    return first, keys, c[r2] / b[r1, r2], num, den, r2 * len(kappa) + r2p
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +673,6 @@ def _widen(lo, hi, scale, tol: float):
     return lo - pad, hi + pad
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The aranges [starts[i], starts[i] + counts[i]) concatenated."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
-
-
 def _overlap_blocks(a_lo, a_hi, b_lo, b_hi) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every (i, j) whose closed intervals [a_lo[i], a_hi[i]] and
     [b_lo[j], b_hi[j]] overlap (all finite, lo <= hi), as index arrays in
@@ -529,12 +690,8 @@ def _overlap_blocks(a_lo, a_hi, b_lo, b_hi) -> Iterator[tuple[np.ndarray, np.nda
     n_inside = np.searchsorted(b_lo_sorted, a_hi, "right") - first
     # b with b_lo < a_lo, less those that also end before a_lo
     n_around = first - np.searchsorted(np.sort(b_hi), a_lo, "left")
-    ends = np.cumsum(n_inside + n_around)
     b_all = np.arange(len(b_lo))
-    i0 = 0
-    while i0 < len(a_lo):
-        done = int(ends[i0 - 1]) if i0 else 0
-        i1 = max(int(np.searchsorted(ends, done + JOIN_BLOCK, "right")), i0 + 1)
+    for i0, i1 in _count_blocks(n_inside + n_around, JOIN_BLOCK):
         counts = n_inside[i0:i1]
         i_inside = np.repeat(np.arange(i0, i1), counts)
         j_inside = b_order[_ranges(first[i0:i1], counts)]
@@ -545,7 +702,6 @@ def _overlap_blocks(a_lo, a_hi, b_lo, b_hi) -> Iterator[tuple[np.ndarray, np.nda
         i_around = i0 + a_order[_ranges(starts, counts)]
         j_around = np.repeat(b_all, counts)
         yield np.concatenate((i_inside, i_around)), np.concatenate((j_inside, j_around))
-        i0 = i1
 
 
 def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:

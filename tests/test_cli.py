@@ -28,6 +28,7 @@ SIMPLE_CHECK_CASES = {
     "sf_rational_simple": ("sf_rational_simple.json", {"k_range": "40", "m_range": "40"}),
     "df_rational_violation": ("df_rational_violation.json", {"k_range": "40", "m_range": "40"}),
     "df_rational_no_pairs": ("df_rational_no_pairs.json", {"k_range": "40", "m_range": "40"}),
+    "df_rational_saturated": ("df_rational_saturated.json", {"k_range": "50", "m_range": "50"}),
     "sf_rational_loose_tol": ("sf_rational_pinned.json",
                               {"k_range": "60", "m_range": "60", "tol": "1"}),
 }

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from blenderforge.simple_dynamics import (
     _balance_min,
     _df_pack,
     _DfTables,
-    _distance_to_family,
+    _family_distances,
     _prefilter_tuples,
     _prefilter_tuples_df,
     _sf_pack,
@@ -44,6 +45,20 @@ def test_exclusion_requires_rational_moduli(sf1_setup):
         bf.exclusion_sets(spec, moduli)
 
 
+def distance_to_family(target, gamma, lam, q_prime, ratio, trunc):
+    """min over (s, ell, n) of |target - |gamma|^(s/q') * F(ell, n)|, the
+    signed distance to the values `exclusion_elements` enumerates, one
+    target at a time.
+
+    A factor of the other sign than target, or zero, never comes closer
+    than the point 0, so only the same-sign factors are measured.
+    """
+    factors = sd._sf_factors(gamma, lam, ratio, trunc)
+    with np.errstate(divide="ignore"):
+        log_f = np.where((factors > 0) == (target > 0), np.log(np.abs(factors)), np.nan)
+    return float(_family_distances(target, gamma, q_prime, log_f, trunc.s_max)[0])
+
+
 def test_distance_agrees_with_full_enumeration():
     tr = TruncationRanges(s_max=10, ell_max=7, n_max=7)
     rng = rng_for(3)
@@ -54,7 +69,7 @@ def test_distance_agrees_with_full_enumeration():
         target = float(rng.uniform(-3.0, 3.0))
         qp = int(rng.integers(1, 4))
         brute = min(abs(target - v) for *_, v in exclusion_elements(gamma, lam, qp, ratio, tr))
-        fast = _distance_to_family(target, gamma, lam, qp, ratio, tr)
+        fast = distance_to_family(target, gamma, lam, qp, ratio, tr)
         assert fast == pytest.approx(brute, abs=1e-13)
 
 
@@ -86,7 +101,18 @@ def test_closure_limit_points_included():
     tr = TruncationRanges(s_max=20, ell_max=5, n_max=5)
     gamma, lam, qp, ratio = 2.0, 0.5, 1, 1.37
     target = gamma ** 3 * ratio / (1 - gamma ** (-2.0))
-    assert _distance_to_family(target, gamma, lam, qp, ratio, tr) < 1e-12
+    assert distance_to_family(target, gamma, lam, qp, ratio, tr) < 1e-12
+
+
+def test_unit_distances_match_one_target_at_a_time():
+    # the a*b memberships: one batched call against one call per residue
+    rng = rng_for(17)
+    for gamma, q_prime, s_max in ((2.0, 1, 200), (-1.7, 3, 200), (1.3, 6, 4)):
+        targets = np.concatenate((rng.uniform(-3.0, 3.0, 20), [0.0, 1e-300, 40.0, -gamma]))
+        batched = sd._unit_distances(targets, gamma, q_prime, s_max)
+        single = [distance_to_family(abs(t), gamma, 0.5, q_prime, 1.0,
+                                     TruncationRanges(s_max, 0, 0)) for t in targets]
+        assert batched.tolist() == single
 
 
 def sf_products(spec, moduli):
@@ -418,6 +444,174 @@ def test_df_ratio_distances_match_enumeration():
                     for v in df_family_values(spec.gamma, spec.lam, 2, rho, sigma, tr))
         assert dist == pytest.approx(brute, rel=1e-9, abs=1e-12), key
     assert len(signs) == 4
+
+
+# ---------------------------------------------------------------------------
+# the separable double-focus family against `_family_distances`
+# ---------------------------------------------------------------------------
+
+def oracle_df_distances(targets, gamma, q_prime, num, den, den_row, s_max, block=32):
+    """`_family_distances` over every factor log|F| = num[i, n] - den[den_row[i], j]."""
+    out = []
+    for r0 in range(0, len(targets), block):
+        rows = np.arange(r0, min(r0 + block, len(targets)))
+        with np.errstate(invalid="ignore"):
+            log_f = num[rows][:, None, :] - den[den_row[rows]][:, :, None]
+        out.append(_family_distances(np.asarray(targets)[rows], gamma, q_prime,
+                                     log_f.reshape(len(rows), -1), s_max))
+    return np.concatenate(out)
+
+
+def assert_df_bitwise(targets, gamma, q_prime, num, den, den_row, s_max):
+    """The kernel equals the oracle row for row under == on float64 (nan
+    where both are nan); returns the kernel's distances."""
+    fast = sd._df_family_distances(targets, gamma, q_prime, num, den, den_row, s_max)
+    assert fast.dtype == np.float64
+    np.testing.assert_array_equal(
+        fast, oracle_df_distances(targets, gamma, q_prime, num, den, den_row, s_max))
+    return fast
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Row counts of the kernel's `_family_distances` calls."""
+    calls = []
+
+    def counting(targets, gamma, q_prime, log_factors, s_max):
+        calls.append(len(log_factors))
+        return _family_distances(targets, gamma, q_prime, log_factors, s_max)
+
+    monkeypatch.setattr(sd, "_family_distances", counting)
+    return calls
+
+
+def df_document_rows(doc):
+    spec, moduli = load_spec_document(json.loads((DATA / doc).read_text(encoding="utf-8")))
+    f1, f2 = moduli.rational("omega1"), moduli.rational("omega2")
+    pack = _df_pack(spec, f1.denominator, f1.numerator, f2.denominator, f2.numerator)
+    trunc = TruncationRanges()
+    _, keys, targets, num, den, den_row = sd._df_rows(pack, spec.gamma, spec.lam, trunc, 1e-9)
+    q_prime = moduli.rational("theta").denominator
+    return (targets, spec.gamma, q_prime, num, den, den_row, trunc.s_max), len(keys[0])
+
+
+@pytest.mark.parametrize("doc", ["df_rational_violation.json", "df_rational_no_pairs.json",
+                                 "df_rational_saturated.json"])
+def test_df_kernel_matches_oracle_on_every_key(doc, fallback_rows):
+    rows, n_keys = df_document_rows(doc)
+    assert_df_bitwise(*rows)
+    assert len(rows[0]) == n_keys
+    assert fallback_rows == []          # every key took the search
+
+
+def test_saturated_document_has_dense_exact_ties():
+    # sigma - lam^ell rounds to sigma and rho - gamma^-n to rho at large
+    # ell and n: 35-71 distinct of 122 denominators per sigma row
+    (_, _, _, num, den, _, _), n_keys = df_document_rows("df_rational_saturated.json")
+    assert n_keys == 36 ** 2
+    assert max(len(np.unique(row)) for row in den) <= 71
+    assert max(len(np.unique(row)) for row in num) < num.shape[1]
+
+
+def test_df_exclusion_memory_bounded():
+    # blocks of DF_ROW_BLOCK keys and DF_CANDIDATE_BLOCK candidates; an
+    # unblocked search of this document peaks near 23 MB
+    spec, moduli = load_spec_document(
+        json.loads((DATA / "df_rational_saturated.json").read_text(encoding="utf-8")))
+    tracemalloc.start()
+    try:
+        report = bf.exclusion_sets(spec, moduli)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.ratio_memberships) == 36 ** 2
+    assert peak <= 4 * 2**20
+
+
+@st.composite
+def tied_rows(draw):
+    """Kernel inputs drawn from pools of at most three values, so that rows
+    hold exact ties; small s_max makes some rows clamp."""
+    n_rows, n_num = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    n_den_rows, n_den = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    value = st.floats(-6.0, 6.0, allow_nan=False)
+
+    def table(shape):
+        pool = draw(st.lists(value, min_size=1, max_size=3))
+        size = shape[0] * shape[1]
+        cells = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        return np.array(cells).reshape(shape)
+
+    num, den = table((n_rows, n_num)), table((n_den_rows, n_den))
+    den_row = np.array(draw(st.lists(st.integers(0, n_den_rows - 1),
+                                     min_size=n_rows, max_size=n_rows)))
+    targets = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=n_rows, max_size=n_rows)))
+    gamma = draw(st.sampled_from([1.3, 2.0, -2.9, 7.5]))
+    return targets, gamma, draw(st.integers(1, 6)), num, den, den_row, draw(st.sampled_from([3, 200]))
+
+
+@given(tied_rows())
+def test_df_kernel_matches_oracle_with_exact_ties(rows):
+    assert_df_bitwise(*rows)
+
+
+def near_integer_rows(side, seed, n_rows=300):
+    """Rows whose factor (0, 0) has computed z = k for an integer k (side
+    0), or the float just below (-1) or just above (+1) k; |z| up to 140
+    makes the rounding of z large.  The other factors are random, and every
+    z stays inside s_max."""
+    rng = rng_for(seed)
+    gamma, q_prime, s_max = 2.0, 3, 200
+    h = math.log(gamma) / q_prime
+    num = rng.uniform(-3.0, 3.0, (n_rows, 6))
+    den = rng.uniform(-3.0, 3.0, (3, 7))
+    den_row = rng.integers(0, 3, n_rows)
+    targets = np.empty(n_rows)
+    steps = 1.0 + np.arange(-4000, 4001) * 2.0 ** -52
+    for i in range(n_rows):
+        d = num[i, 0] - den[den_row[i], 0]
+        hits = []
+        while not len(hits):
+            # nudge the target until the computed z is exactly the float
+            # wanted; fl(L - d) / h skips some floats, so k may be redrawn
+            k = float(rng.integers(-140, 141))
+            want = np.nextafter(k, k + side) if side else k
+            t = np.exp(k * h + d) * steps
+            hits = np.flatnonzero((np.log(t) - d) / h == want)
+        targets[i] = t[hits[0]]
+    return targets, gamma, q_prime, num, den, den_row, s_max
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_df_kernel_matches_oracle_one_ulp_from_an_integer(side, fallback_rows):
+    rows = near_integer_rows(side, seed=40 + side)
+    dists = assert_df_bitwise(*rows)
+    if side == 0:
+        assert (dists == 0.0).all()
+    # the window's wrap side holds these factors, so no row falls back
+    assert fallback_rows == []
+
+
+def test_df_kernel_falls_back_on_clamped_and_non_finite_rows(fallback_rows):
+    rng = rng_for(23)
+    gamma, q_prime = 1.7, 2
+    lam_pows, gam_pows = sd._powers(gamma, 0.4, TruncationRanges(s_max=4, ell_max=6, n_max=6))
+    rho = np.array([gam_pows[2], 0.8, -0.3, 1.9, 0.6])    # rho = gamma^-3 exactly: -inf
+    sigma = np.array([[0.7], [np.inf], [np.nan], [lam_pows[1]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = np.log(np.abs(rho[:, None] - gam_pows))
+        den = np.log(np.abs(np.concatenate((sigma - lam_pows, 1.0 - sigma * lam_pows), axis=1)))
+    den_row = np.array([0, 1, 2, 3, 0])
+    targets = np.array([0.9, 1.1, 0.5, 2.0, 0.0])
+    assert np.isneginf(num[0]).any() and not np.isfinite(den[1:]).all(axis=1).any()
+    assert_df_bitwise(targets, gamma, q_prime, num, den, den_row, 4)
+    assert sum(fallback_rows) == len(targets)
+    # z spreads over about [-20, 20], so s_max = 10 clamps some rows only
+    num, den = rng.uniform(-2.0, 2.0, (40, 9)), rng.uniform(-2.0, 2.0, (2, 5))
+    den_row, targets = rng.integers(0, 2, 40), rng.uniform(0.2, 5.0, 40)
+    fallback_rows.clear()
+    assert_df_bitwise(targets, gamma, q_prime, num, den, den_row, 10)
+    assert 0 < sum(fallback_rows) < 40
 
 
 def test_simple_verdict_conjunction():

@@ -124,6 +124,8 @@ TABLE_CASES = {
     "pipeline_df_3_3_1_1_eps1e-2": ("pipeline", "df_3_3_1_1", {"eps": "1e-2"}),
     "pipeline_df_3_3_2_0_eps1e-2": ("pipeline", "df_3_3_2_0", {"eps": "1e-2"}),
     "cones_sf_1_0": ("cones", "sf_1_0", {}),
+    "cones_sf_3_0": ("cones", "sf_3_0", {}),
+    "cones_df_1_2": ("cones", "df_1_2", {}),
     "cones_df_2_1_1": ("cones", "df_2_1_1", {}),
 }
 
@@ -171,3 +173,64 @@ def test_cones_search_reads_min_pairs(capsys):
     config = cli.RunConfig("cones", str(DATA / "sf_1_0.json"), {"min_pairs": "1000000"})
     assert cli.run(config) == 2
     assert json.loads(capsys.readouterr().out)["error"]["stage"] == "search"
+
+
+#: `cones` on every searched document at eps 1e-3 and 1e-2: exit status, the
+#: searched (k, m) and the six verdict flags (forward cu, forward uu,
+#: backward cs, backward ss, center expansion, center contraction).  Exit 1
+#: is an empty model domain: no point of the cube has its image in the cube
+CONES_VERDICTS = {
+    ("sf_1_0", "1e-3"): (0, (1501, 2255), (True, True, True, True, True, None)),
+    ("sf_1_1", "1e-3"): (0, (5938, 6176), (True, True, True, True, None, True)),
+    ("sf_2_0", "1e-3"): (0, (41132, 27078), (True, True, True, True, True, None)),
+    ("sf_2_2", "1e-3"): (2, None, None),  # search
+    ("sf_3_0", "1e-3"): (0, (2075, 2956), (True, True, True, True, None, True)),
+    ("sf_3_1", "1e-3"): (0, (31029, 60347), (True, True, True, True, None, True)),
+    ("df_1_0", "1e-3"): (0, (63414, 92076), (True, True, True, True, True, None)),
+    ("df_1_2", "1e-3"): (0, (30326, 28797), (True, True, True, True, True, None)),
+    ("df_2_1_0", "1e-3"): (2, None, None),  # search
+    ("df_2_1_1", "1e-3"): (0, (32350, 44891), (True, True, True, True, None, True)),
+    ("df_2_2_2", "1e-3"): (2, None, None),  # search
+    ("df_2_2_3", "1e-3"): (2, None, None),  # search
+    ("df_3_1_from_df_3_3_2_0", "1e-3"): (2, None, None),  # search
+    ("df_3_1_from_df_3_3_2_2", "1e-3"): (2, None, None),  # search
+    ("df_3_2_from_df_2_1_1", "1e-3"): (2, None, None),  # search
+    ("df_3_3_1_0", "1e-3"): (2, None, None),  # search
+    ("df_3_3_1_1", "1e-3"): (2, None, None),  # search
+    ("df_3_3_2_0", "1e-3"): (2, None, None),  # search
+    ("df_3_3_2_2", "1e-3"): (2, None, None),  # search
+    ("sf_1_0", "1e-2"): (0, (1429, 2147), (True, True, True, True, True, None)),
+    ("sf_1_1", "1e-2"): (0, (1738, 1808), (True, True, True, True, None, True)),
+    ("sf_2_0", "1e-2"): (0, (352, 232), (True, True, True, True, True, None)),
+    ("sf_2_2", "1e-2"): (0, (42816, 67320), (True, True, True, True, True, None)),
+    ("sf_3_0", "1e-2"): (0, (19, 27), (True, True, True, True, None, True)),
+    ("sf_3_1", "1e-2"): (0, (457, 890), (True, True, True, True, None, True)),
+    ("df_1_0", "1e-2"): (0, (5805, 8432), (True, True, True, True, True, None)),
+    ("df_1_2", "1e-2"): (0, (8822, 8381), (True, True, True, True, True, None)),
+    ("df_2_1_0", "1e-2"): (1, None, None),  # run
+    ("df_2_1_1", "1e-2"): (0, (1108, 1540), (True, True, True, True, None, True)),
+    ("df_2_2_2", "1e-2"): (2, None, None),  # search
+    ("df_2_2_3", "1e-2"): (0, (33462, 29411), (True, True, True, True, True, None)),
+    ("df_3_1_from_df_3_3_2_0", "1e-2"): (2, None, None),  # search
+    ("df_3_1_from_df_3_3_2_2", "1e-2"): (2, None, None),  # search
+    ("df_3_2_from_df_2_1_1", "1e-2"): (1, None, None),  # run
+    ("df_3_3_1_0", "1e-2"): (2, None, None),  # search
+    ("df_3_3_1_1", "1e-2"): (2, None, None),  # search
+    ("df_3_3_2_0", "1e-2"): (1, None, None),  # run
+    ("df_3_3_2_2", "1e-2"): (1, None, None),  # run
+}
+CONES_FLAGS = ("forward_cu_ok", "forward_uu_ok", "backward_cs_ok", "backward_ss_ok",
+               "center_expansion_ok", "center_contraction_ok")
+
+
+@pytest.mark.parametrize("doc,eps", sorted(CONES_VERDICTS))
+def test_cones_verdicts(doc, eps, capsys):
+    status, pair, flags = CONES_VERDICTS[doc, eps]
+    config = cli.RunConfig("cones", str(DATA / f"{doc}.json"), {"eps": eps})
+    assert cli.run(config) == status
+    payload = json.loads(capsys.readouterr().out)
+    if status:
+        assert payload["error"]["stage"] == {1: "run", 2: "search"}[status]
+        return
+    assert (payload["k"], payload["m"]) == pair
+    assert tuple(payload["cones"][f] for f in CONES_FLAGS) == flags

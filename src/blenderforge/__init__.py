@@ -49,10 +49,8 @@ from .errors import (
     BlenderForgeError,
     CoverageGap,
     DomainError,
-    InsufficientSamples,
     KindMismatch,
     NoImageInCube,
-    NonConvergence,
     NotApplicable,
     NotRational,
     OutsideWindows,
@@ -62,7 +60,6 @@ from .errors import (
 from .return_map import (
     ConeReport,
     CrossMapModel,
-    PointInCube,
     ReturnCoeffs,
     build_model,
     coeffs,
@@ -94,10 +91,10 @@ __all__ = [
     "BlenderCertificate", "BlenderForgeError", "BruteScanResult", "CaseTag",
     "ConeReport", "CoverageGap", "CoveringSimReport", "CrossMapModel",
     "CycleSpec", "CycleType", "DependenceRelation", "DomainError",
-    "ExclusionReport", "IRRATIONAL", "InsufficientSamples", "KindMismatch",
-    "Moduli", "MuPoint", "MuWindow", "NoImageInCube", "NonConvergence",
+    "ExclusionReport", "IRRATIONAL", "KindMismatch",
+    "Moduli", "MuPoint", "MuWindow", "NoImageInCube",
     "NotApplicable", "NotRational", "OutsideWindows", "PairSequence",
-    "PointInCube", "PoleError", "RationalClass", "RelationReport",
+    "PoleError", "RationalClass", "RelationReport",
     "ResidueWitness", "ReturnCoeffs", "SearchWindow", "TorusTarget", "TruncationRanges", "ValidationReport", "WindowExhausted",
     "brute_scan", "build_model", "certify", "check_A1", "check_A2",
     "check_activation", "classify_case", "coeffs", "compute_theta",

@@ -175,6 +175,7 @@ def chain_cover(
     """
     order = sorted(range(len(images)), key=lambda i: (images[i][0], -images[i][1]))
     chain: list[int] = []
+    used: set[int] = set()
     overlaps: list[float | None] = []
     reach = left
     prev_right: float | None = None
@@ -185,7 +186,7 @@ def chain_cover(
             lo, hi = images[i]
             if lo > bound:
                 break
-            if i in chain:
+            if i in used:
                 continue
             if best is None or hi > images[best][1] or (
                 hi == images[best][1] and lo < images[best][0]
@@ -197,6 +198,7 @@ def chain_cover(
         lo, hi = images[best]
         overlaps.append(None if prev_right is None else prev_right - lo)
         chain.append(best)
+        used.add(best)
         prev_right = hi
         reach = hi
         if reach >= right:

@@ -46,7 +46,7 @@ SPEC_FIELD_OVERRIDES = {
 KNOWN_OVERRIDES = SPEC_FIELD_OVERRIDES | {
     "eps", "k_max", "m_max", "kind", "n_discs", "depth", "window_count",
     "q", "p", "overlap_min", "c", "tol", "k_range", "m_range",
-    "unfold", "min_pairs", "K", "n_samples", "phi_bound", "k", "m",
+    "unfold", "min_pairs", "K", "phi_bound", "k", "m",
     "csv",
 }
 
@@ -240,22 +240,17 @@ def _cmd_simulate_cover(config: RunConfig, spec: CycleSpec, moduli: Moduli | Non
 
 
 def _cmd_cones(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
+    """Cone verdicts of the model map of one return, (k, m) from `--set` or
+    else the first searched pair: the four cone families at aperture K and
+    the center rates, decided in closed form for every C^1 remainder with
+    partials within phi_bound, plus the largest such bound that keeps them."""
     k = config.knob("k", None, int)
     m = config.knob("m", None, int)
     if k is None or m is None:
         moduli = _require_moduli(moduli)
         k, m = _search(config, spec, moduli, cycle_model.classify_case(moduli, spec)).pairs[0]
-    model = return_map.build_model(
-        spec, k, m,
-        phi_bound=config.knob("phi_bound", 0.0),
-        phi_seed=config.seed,
-    )
-    report = return_map.verify_cones(
-        model,
-        K=config.knob("K", 0.1),
-        n_samples=config.knob("n_samples", 50, int),
-        seed=config.seed,
-    )
+    model = return_map.build_model(spec, k, m, phi_bound=config.knob("phi_bound", 0.0))
+    report = return_map.verify_cones(model, K=config.knob("K", 0.1))
     return {"k": k, "m": m, "cones": report}
 
 

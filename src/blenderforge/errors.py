@@ -53,15 +53,7 @@ class KindMismatch(BlenderForgeError):
 
 
 class NoImageInCube(BlenderForgeError):
-    """The cross-form image of a point leaves the model cube."""
-
-
-class NonConvergence(BlenderForgeError):
-    """Fixed-point iteration failed to converge within max_iter."""
-
-
-class InsufficientSamples(BlenderForgeError):
-    """Fewer admissible sample points were found than requested."""
+    """No point of the model cube has its cross-form image in the cube."""
 
 
 class OutsideWindows(BlenderForgeError):

@@ -1,5 +1,5 @@
-"""First-return coefficient formulas, the cross-form model map, and sampled
-cone-field verification.
+"""First-return coefficient formulas, the cross-form model map, and its
+cone-field verdicts in closed form.
 
 The one-dimensional central part of a return map is affine, X -> A_km*X +
 B_km, with coefficients assembled from the cycle multipliers and reduced
@@ -7,36 +7,33 @@ transition coefficients.  Powers lambda^k * gamma^m are always evaluated
 through logarithms so that searches may roam k, m up to ~1e5 without
 overflow; only the O(1) exponent difference survives near admissible pairs.
 
-The full model is a cross form: the image is obtained by solving
+The full model is a cross form: the image (Xb, Yb, Zb) of (X, Y, Z) solves
 
-    Xb = mu_term + A_km*X + B_km + phi1(X, Yb, Z)
+    Xb = A_km*X + B_km + phi1(X, Yb, Z)
     Y  = y_rate*Yb + phi3(X, Yb, Z)
     Zb = z_rate*Z  + phi4(X, Yb, Z)
 
-for (Xb, Yb, Zb).  The remainders phi vanish asymptotically in the paper
-model; here they are either identically zero or a seeded smooth field with
-value and first derivatives bounded by phi_bound.  The center rates y_rate,
-z_rate stand for the asymptotically vanishing cross terms; they default to
-small values tied to |A_km| so the model map is invertible and the cone
-checks below are meaningful.  Setting them to zero recovers the fully
-degenerate skew limit (not invertible).
+The remainders phi vanish asymptotically in the paper model; here they are
+any C^1 functions whose partial derivatives are bounded by phi_bound.  The
+center rates y_rate, z_rate stand for the asymptotically vanishing cross
+terms; they default to small values tied to |A_km| so the model map is
+invertible at phi = 0 and the cone verdicts are meaningful.  `verify_cones` decides the
+cone families for every such remainder at once, from bounds on the blocks of
+the Jacobian, and reports the largest phi_bound at which they still hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
-import numpy as np
+from dataclasses import asdict, dataclass
+from typing import Any
 
 from .cycle_model import CycleSpec, CycleType
-from .errors import DomainError, InsufficientSamples, NoImageInCube, NonConvergence, PoleError
-from .rng import philox_rng
+from .errors import DomainError, NoImageInCube, PoleError
 
 RATE_SCALE = 0.05  # default center-rate scale relative to min(1, |A_km|)
-MAX_ITER = 200
-FIXED_POINT_TOL = 1e-12
+#: bisection steps of the largest remainder bound at which the verdicts hold
+RADIUS_STEPS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -152,261 +149,52 @@ def coeffs(spec: CycleSpec, k: int, m: int) -> ReturnCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Seeded smooth remainder fields
-# ---------------------------------------------------------------------------
-
-class PhiField:
-    """Smooth field amp*sin(<f, v> + psi) with |value|, |grad|_inf <= bound.
-
-    Frequencies are capped at 1 in absolute value, so the gradient bound
-    equals the amplitude bound.
-    """
-
-    def __init__(self, dim: int, bound: float, rng: np.random.Generator):
-        self.dim = dim
-        self.bound = float(bound)
-        if bound == 0.0:
-            self.freq = np.zeros(dim)
-            self.phase = 0.0
-        else:
-            self.freq = rng.uniform(-1.0, 1.0, size=dim)
-            self.phase = float(rng.uniform(0.0, 2.0 * math.pi))
-
-    def value(self, v: np.ndarray) -> float:
-        if self.bound == 0.0:
-            return 0.0
-        return self.bound * math.sin(float(self.freq @ v) + self.phase)
-
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        if self.bound == 0.0:
-            return np.zeros(self.dim)
-        return self.bound * math.cos(float(self.freq @ v) + self.phase) * self.freq
-
-
-class PhiPack:
-    """One field per model equation component (phi1 scalar, phi3/phi4 vectors)."""
-
-    def __init__(self, y_dim: int, z_dim: int, bound: float, seed: int):
-        rng = philox_rng(seed)
-        dim = 1 + y_dim + z_dim
-        self.phi1 = PhiField(dim, bound, rng)
-        self.phi3 = [PhiField(dim, bound, rng) for _ in range(y_dim)]
-        self.phi4 = [PhiField(dim, bound, rng) for _ in range(z_dim)]
-        self.bound = float(bound)
-
-
-# ---------------------------------------------------------------------------
 # Cross-form model
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PointInCube:
-    x: float
-    y: tuple[float, ...]
-    z: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.x], self.y, self.z))
-
-
-@dataclass
 class CrossMapModel:
-    """Concrete, invertible closure of the cross-form return map."""
+    """The cross-form map of one (k, m) return: its central coefficients, the
+    Y and Z block sizes, the cube half-width, the bound on every partial
+    derivative of the remainders, and the center rates (0 selects the
+    default tied to |A_km|)."""
 
     coeffs: ReturnCoeffs
     y_dim: int
     z_dim: int
     delta: float
     phi_bound: float = 0.0
-    mu: float = 0.0
-    mu_coef: float = 0.0  # multiplies mu in the X equation
-    y_rate: float = field(default=0.0)
-    z_rate: float = field(default=0.0)
-    phi_seed: int = 0
-    _phi: PhiPack = field(init=False, repr=False)
+    y_rate: float = 0.0
+    z_rate: float = 0.0
 
     def __post_init__(self) -> None:
         a_mag = abs(self.coeffs.A_km)
         if a_mag == 0.0 or not math.isfinite(a_mag):
             raise DomainError("model requires a nonzero finite A_km")
+        if self.y_dim < 1 or self.z_dim < 1:
+            raise DomainError("model requires an expanding and a contracting block")
         if self.y_rate == 0.0:
-            self.y_rate = RATE_SCALE * min(1.0, 1.0 / a_mag)
+            object.__setattr__(self, "y_rate", RATE_SCALE * min(1.0, 1.0 / a_mag))
         if self.z_rate == 0.0:
-            self.z_rate = RATE_SCALE * min(1.0, a_mag)
-        if self.phi_bound > 0.25 * min(self.y_rate / max(1, self.y_dim), a_mag):
+            object.__setattr__(self, "z_rate", RATE_SCALE * min(1.0, a_mag))
+        if self.phi_bound > self.phi_guard:
             raise DomainError("phi_bound too large for the center rates")
-        self._phi = PhiPack(self.y_dim, self.z_dim, self.phi_bound, self.phi_seed)
-
-    # -- helpers -----------------------------------------------------------
 
     @property
-    def mu_term(self) -> float:
-        return self.mu_coef * self.mu
-
-    def in_cube(self, point: PointInCube, slack: float = 1e-9) -> bool:
-        lim = self.delta + slack
-        return (
-            abs(point.x) <= lim
-            and all(abs(v) <= lim for v in point.y)
-            and all(abs(v) <= lim for v in point.z)
-        )
-
-    def _args(self, x: float, yb: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.concatenate(([x], yb, z))
-
-    # -- forward / backward -------------------------------------------------
-
-    def apply_cross_forward(self, point: PointInCube) -> PointInCube:
-        """Solve the cross relations for the image (Xb, Yb, Zb).
-
-        The Yb block is obtained by damped fixed-point iteration of
-        Yb = (Y - phi3(X, Yb, Z)) / y_rate; with phi == 0 it is exact in one
-        step.  Raises NoImageInCube if the solved image leaves the cube.
-        """
-        if not self.in_cube(point):
-            raise NoImageInCube("input point outside the cube")
-        x = point.x
-        y = np.asarray(point.y, dtype=float)
-        z = np.asarray(point.z, dtype=float)
-        yb = y / self.y_rate
-        for _ in range(MAX_ITER):
-            args = self._args(x, yb, z)
-            phi3 = np.array([f.value(args) for f in self._phi.phi3])
-            yb_next = (y - phi3) / self.y_rate
-            if np.max(np.abs(yb_next - yb), initial=0.0) < FIXED_POINT_TOL:
-                yb = yb_next
-                break
-            yb = yb_next
-        else:
-            raise NonConvergence("Yb iteration did not converge")
-        args = self._args(x, yb, z)
-        xb = self.mu_term + self.coeffs.A_km * x + self.coeffs.B_km + self._phi.phi1.value(args)
-        zb = self.z_rate * z + np.array([f.value(args) for f in self._phi.phi4])
-        image = PointInCube(xb, tuple(yb), tuple(zb))
-        if not self.in_cube(image):
-            worst = max(abs(xb), max(map(abs, yb), default=0.0), max(map(abs, zb), default=0.0))
-            raise NoImageInCube(f"image leaves the cube (sup coordinate {worst!r})")
-        return image
-
-    def apply_cross_backward(self, point: PointInCube) -> PointInCube:
-        """Inverse of apply_cross_forward, by fixed-point iteration in (X, Z)."""
-        if not self.in_cube(point):
-            raise NoImageInCube("input point outside the cube")
-        xb = point.x
-        yb = np.asarray(point.y, dtype=float)
-        zb = np.asarray(point.z, dtype=float)
-        a = self.coeffs.A_km
-        x = (xb - self.coeffs.B_km - self.mu_term) / a
-        z = np.clip(zb / self.z_rate, -self.delta, self.delta)
-        for _ in range(MAX_ITER):
-            args = self._args(x, yb, z)
-            phi1 = self._phi.phi1.value(args)
-            phi4 = np.array([f.value(args) for f in self._phi.phi4])
-            x_next = (xb - self.coeffs.B_km - self.mu_term - phi1) / a
-            z_next = (zb - phi4) / self.z_rate
-            if max(abs(x_next - x), np.max(np.abs(z_next - z), initial=0.0)) < FIXED_POINT_TOL:
-                x, z = x_next, z_next
-                break
-            x, z = x_next, z_next
-        else:
-            raise NonConvergence("(X, Z) iteration did not converge")
-        args = self._args(x, yb, z)
-        phi3 = np.array([f.value(args) for f in self._phi.phi3])
-        y = self.y_rate * yb + phi3
-        pre = PointInCube(x, tuple(y), tuple(z))
-        if not self.in_cube(pre):
-            raise NoImageInCube(f"preimage leaves the cube: x={x!r}")
-        return pre
-
-    # -- Jacobian ------------------------------------------------------------
-
-    def jacobian(self, point: PointInCube) -> np.ndarray:
-        """Analytic Jacobian of the solved forward map at `point`.
-
-        Blocks are ordered (X, Y, Z) for both rows and columns.  The Yb
-        derivative comes from implicit differentiation of the middle
-        relation; with phi == 0 the matrix is diag(A_km, I/y_rate, z_rate*I).
-        """
-        image = self.apply_cross_forward(point)
-        x = point.x
-        z = np.asarray(point.z, dtype=float)
-        yb = np.asarray(image.y, dtype=float)
-        args = self._args(x, yb, z)
-        n_y, n_z = self.y_dim, self.z_dim
-
-        # gradient blocks of each phi component wrt (X, Yb, Z)
-        def grads(fields: list[PhiField]) -> np.ndarray:
-            if not fields:
-                return np.zeros((0, 1 + n_y + n_z))
-            return np.vstack([f.grad(args) for f in fields])
-
-        g3 = grads(self._phi.phi3)           # (n_y, 1+n_y+n_z)
-        g4 = grads(self._phi.phi4)           # (n_z, ...)
-        g1 = self._phi.phi1.grad(args)       # (1+n_y+n_z,)
-
-        sl_x = slice(0, 1)
-        sl_y = slice(1, 1 + n_y)
-        sl_z = slice(1 + n_y, 1 + n_y + n_z)
-
-        # d Yb / d(X, Y, Z): (y_rate*I + dphi3/dYb) dYb = [-dphi3/dX, I, -dphi3/dZ]
-        m_yb = self.y_rate * np.eye(n_y) + g3[:, sl_y]
-        rhs = np.zeros((n_y, 1 + n_y + n_z))
-        rhs[:, sl_x] = -g3[:, sl_x]
-        rhs[:, sl_y] = np.eye(n_y)
-        rhs[:, sl_z] = -g3[:, sl_z]
-        d_yb = np.linalg.solve(m_yb, rhs) if n_y else np.zeros((0, 1 + n_y + n_z))
-
-        jac = np.zeros((1 + n_y + n_z, 1 + n_y + n_z))
-        # Xb row
-        jac[0, 0] = self.coeffs.A_km + g1[sl_x][0]
-        jac[0, 1 + n_y:] = g1[sl_z]
-        jac[0, :] += g1[sl_y] @ d_yb
-        # Yb rows
-        jac[1:1 + n_y, :] = d_yb
-        # Zb rows
-        if n_z:
-            jac[1 + n_y:, 1 + n_y:] = self.z_rate * np.eye(n_z)
-            jac[1 + n_y:, 0] += g4[:, 0]
-            jac[1 + n_y:, 1 + n_y:] += g4[:, sl_z]
-            jac[1 + n_y:, :] += g4[:, sl_y] @ d_yb
-        return jac
+    def phi_guard(self) -> float:
+        """Largest admissible phi_bound: it keeps |dphi3/dYb| <= y_rate/4, so
+        y_rate*I + dphi3/dYb stays invertible, and |dphi1/dX| <= |A_km|/4."""
+        return 0.25 * min(self.y_rate / self.y_dim, abs(self.coeffs.A_km))
 
 
-def build_model(
-    spec: CycleSpec,
-    k: int,
-    m: int,
-    mu: float = 0.0,
-    phi_bound: float = 0.0,
-    phi_seed: int = 0,
-) -> CrossMapModel:
-    """Assemble the model map of the (k, m) return at splitting value mu."""
-    rc = coeffs(spec, k, m)
-    if spec.is_saddle_focus:
-        # mu enters as b * gamma^m * mu; evaluated in logs to survive large m
-        log_mag = m * math.log(abs(spec.gamma)) + math.log(abs(spec.b_coef))
-        if mu == 0.0:
-            mu_coef = 0.0
-        elif log_mag > 700.0:
-            raise DomainError("gamma^m overflows in the mu term; reduce m or mu")
-        else:
-            mu_coef = power_sign(spec, m) * math.copysign(math.exp(log_mag), spec.b_coef)
-    else:
-        assert spec.eta3 is not None and spec.omega2 is not None
-        # 2 / cos(m*omega2 + eta3) * lambda^k, the rank-1 slope of the mu term
-        den = math.cos(m * spec.omega2 + spec.eta3)
-        if abs(den) < 1e-14:
-            raise PoleError("mu-term denominator vanishes")
-        mu_coef = 2.0 / den * math.exp(k * math.log(spec.lam))
+def build_model(spec: CycleSpec, k: int, m: int, phi_bound: float = 0.0) -> CrossMapModel:
+    """Assemble the model map of the (k, m) return."""
     return CrossMapModel(
-        coeffs=rc,
+        coeffs=coeffs(spec, k, m),
         y_dim=spec.y_dim,
         z_dim=spec.z_dim,
         delta=spec.delta,
         phi_bound=phi_bound,
-        mu=mu,
-        mu_coef=mu_coef,
-        phi_seed=phi_seed,
     )
 
 
@@ -416,10 +204,9 @@ def build_model(
 
 @dataclass(frozen=True)
 class ConeReport:
-    """Sampled invariance/expansion results for the four cone families."""
+    """Cone verdicts that hold for every remainder within phi_bound."""
 
     K: float
-    samples: int
     forward_cu_ok: bool
     forward_uu_ok: bool
     backward_cs_ok: bool
@@ -431,225 +218,158 @@ class ConeReport:
     center_contraction_claimed: bool
     center_contraction_ok: bool | None
     min_margin: float
+    phi_radius: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "K": self.K,
-            "samples": self.samples,
-            "forward_cu_ok": self.forward_cu_ok,
-            "forward_uu_ok": self.forward_uu_ok,
-            "backward_cs_ok": self.backward_cs_ok,
-            "backward_ss_ok": self.backward_ss_ok,
-            "min_expansion_uu": self.min_expansion_uu,
-            "max_contraction_ss": self.max_contraction_ss,
-            "center_expansion_claimed": self.center_expansion_claimed,
-            "center_expansion_ok": self.center_expansion_ok,
-            "center_contraction_claimed": self.center_contraction_claimed,
-            "center_contraction_ok": self.center_contraction_ok,
-            "min_margin": self.min_margin,
-        }
+        return asdict(self)
 
 
-def _block_norms(vec: np.ndarray, n_y: int, n_z: int) -> tuple[float, float, float]:
-    x = abs(float(vec[0]))
-    y = float(np.linalg.norm(vec[1:1 + n_y])) if n_y else 0.0
-    z = float(np.linalg.norm(vec[1 + n_y:])) if n_z else 0.0
-    return x, y, z
+def _aperture(*ratios: tuple[float, float]) -> float:
+    """Largest num/den; a nonpositive denominator bounds nothing (inf)."""
+    return max(num / den if den > 0.0 else math.inf for num, den in ratios)
 
 
-def _cone_membership(vec: np.ndarray, cone: str, K: float, n_y: int, n_z: int) -> float:
-    """Positive margin iff the vector lies strictly inside the cone."""
-    x, y, z = _block_norms(vec, n_y, n_z)
-    if cone == "cu":
-        return K * (x + y) - z
-    if cone == "uu":
-        return K * y - max(x, z)
-    if cone == "cs":
-        return K * (x + z) - y
-    if cone == "ss":
-        return K * z - max(x, y)
-    raise ValueError(cone)
+def _cone_fields(model: CrossMapModel, K: float, p: float) -> tuple[list[float], dict[str, Any]]:
+    """The cu, uu, cs and ss margins, and the report fields, that hold for
+    every remainder with partials bounded by p; `verify_cones` derives them."""
+    a = abs(model.coeffs.A_km)
+    r, s = model.y_rate, model.z_rate
+    n, q = model.y_dim, model.z_dim
+    inv_hi = 1.0 / (r - n * p)
+    inv_lo = 1.0 / (r + n * p)
+    t = p * inv_hi
+    xx, xz, zz = r * t, math.sqrt(q) * r * t, q * r * t
+    xy, yz = math.sqrt(n) * t, math.sqrt(n * q) * t
+    sz = s + zz
+
+    kappa_cu = _aperture((xz + K * sz, a - xx - xy - K * (xz + yz)),
+                         (yz + K * sz, inv_lo - xy - K * (xz + yz)))
+    kappa_uu = _aperture((max((a + xx + xz) * K + xy, (xz + sz) * K + yz),
+                          inv_lo - (xy + yz) * K))
+    kappa_cs = _aperture((max(K * (a + xx + xz) + xy, K * (sz + xz) + yz),
+                          inv_lo - K * (xy + yz)))
+    kappa_ss = _aperture((xz + K * sz, a - xx - K * xz - xy - K * yz),
+                         (yz + K * sz, inv_lo - K * yz - xy - K * xz))
+    # J is invertible when the comparison matrix of its blocks is a
+    # nonsingular M-matrix: positive leading principal minors
+    d1, d3 = a - xx, s - zz
+    det = d1 * inv_lo * d3 - d1 * yz * yz - inv_lo * xz * xz - d3 * xy * xy - 2.0 * xy * xz * yz
+    if not (d1 > 0.0 and d1 * inv_lo > xy * xy and det > 0.0):
+        kappa_cs = kappa_ss = math.inf
+    margins = [K - kappa for kappa in (kappa_cu, kappa_uu, kappa_cs, kappa_ss)]
+    # K = 0 degenerates the cones to the axis subspaces, which the diagonal
+    # part preserves only weakly
+    cu_ok, uu_ok, cs_ok, ss_ok = (mg > 0.0 if K > 0.0 else mg >= 0.0 for mg in margins)
+    return margins, {
+        "forward_cu_ok": cu_ok,
+        "forward_uu_ok": uu_ok,
+        "backward_cs_ok": cs_ok,
+        "backward_ss_ok": ss_ok,
+        "min_expansion_uu": (inv_lo - (xy + yz) * K) / math.sqrt(1.0 + 2.0 * K * K),
+        "max_contraction_ss": math.hypot(xz, yz, sz),
+        "center_expansion_claimed": a > 1.0,
+        "center_expansion_ok": min(a - xx, inv_lo) - xy > 1.0 if a > 1.0 else None,
+        "center_contraction_claimed": a < 1.0,
+        "center_contraction_ok": (math.hypot(max(a + xx, sz) + xz, xy, yz) < 1.0
+                                  if a < 1.0 else None),
+        "min_margin": min(margins),
+    }
 
 
-def _sample_cone_vector(cone: str, K: float, n_y: int, n_z: int,
-                        rng: np.random.Generator, core: bool = False) -> np.ndarray:
-    """Random unit vector inside the cone (core direction plus K/2 spread).
+def _holds(model: CrossMapModel, K: float, p: float) -> bool:
+    fields = _cone_fields(model, K, p)[1]
+    return all(fields[key] is not False for key in (
+        "forward_cu_ok", "forward_uu_ok", "backward_cs_ok", "backward_ss_ok",
+        "center_expansion_ok", "center_contraction_ok"))
 
-    With core=True the transverse spread is zeroed: quantitative
-    contraction/expansion claims are about the invariant core of the cone,
-    since any transverse component is dominated by the strong expansion
-    regardless of the central multiplier.
+
+def verify_cones(model: CrossMapModel, K: float) -> ConeReport:
+    """Decide the four cone families and the center verdicts in closed form.
+
+    Cones, with |.| the absolute value on X and the Euclidean norm on the Y
+    and Z blocks: cu = {|z| <= K(|x| + |y|)}, uu = {max(|x|, |z|) <= K|y|},
+    cs = {|y| <= K(|x| + |z|)} and ss = {max(|x|, |y|) <= K|z|}.  Forward,
+    the Jacobian J must map cu and uu strictly into themselves; backward,
+    J^-1 must do so for cs and ss.  A cone's margin is K minus the aperture
+    of its image (for cu, sup |wz| / (|wx| + |wy|) over the image vectors w),
+    so it is positive exactly when the image lies strictly inside.  With
+    K = 0 the cones are the axis subspaces and a margin of 0 passes.
+
+    Bounds.  Implicit differentiation of the cross relations gives, with
+    M = y_rate*I + G3, G3 = dphi3/dYb and g1, g3, g4 the other gradient
+    blocks of phi1, phi3, phi4,
+
+        J_YY = M^-1,  J_YX = -M^-1 g3x,  J_YZ = -M^-1 G3z,
+        J_XX = A + g1x - g1y M^-1 g3x,  J_XY = g1y M^-1,
+        J_XZ = g1z - g1y M^-1 G3z,  J_ZY = G4y M^-1,
+        J_ZX = g4x - G4y M^-1 g3x,  J_ZZ = z_rate*I + G4z - G4y M^-1 G3z,
+
+    so J = D + E with D = diag(A, I/y_rate, z_rate*I) when phi = 0.  Every
+    partial of phi is at most p = phi_bound, so an a-by-b gradient block has
+    spectral norm at most sqrt(ab) p; with n = y_dim, q = z_dim, |G3| <= np,
+    which the model's guard keeps below y_rate/4.  Hence |M^-1| <= 1/(r - np)
+    and |M^-1 y| >= |y|/(r + np), with r = y_rate, s = z_rate.  Writing
+    t = p/(r - np), the blocks obey |J_XX - A| <= rt, |J_XY|, |J_YX| <= sqrt(n) t,
+    |J_XZ|, |J_ZX| <= sqrt(q) rt, |J_YZ|, |J_ZY| <= sqrt(nq) t and
+    |J_ZZ| <= s + q rt.
+
+    Apertures.  Bound each image coordinate by the triangle inequality.
+    Forward (w = Jv): for cu, put |z| at its largest, K(|x| + |y|); the
+    aperture is a ratio of two forms linear in (|x|, |y|), so it is at most
+    the larger coefficient ratio.  For uu, with |x|, |z| <= K|y|, the
+    aperture is at most max(|wx|, |wz|) over the lower bound of |wy|, per
+    unit |y|.  Backward (v = Jw with v in the cone): for cs, the constraint
+    |vy| <= K(|vx| + |vz|) bounds |wy| by a multiple of |wx| + |wz|; for ss,
+    |vx|, |vy| <= K|vz| gives two linear inequalities in (|wx|, |wy|) per
+    unit |wz|, and with rho = max(|wx|, |wy|) each yields rho <= c/(d - e)
+    for the coefficients of its own and the other coordinate.  A
+    nonpositive denominator bounds nothing and fails the cone.  The backward
+    verdicts also need J invertible: if Jw = 0, the rows of J give
+    P (|wx|, |wy|, |wz|) <= 0 for the comparison matrix P with diagonal
+    (|A| - rt, 1/(r + np), s - q rt) and the negated block bounds off it,
+    so w = 0 whenever P is a nonsingular M-matrix (positive leading
+    principal minors); otherwise both backward cones fail.  Every bound
+    holds over the whole closed cone and for every admissible remainder.
+
+    Center and strong rates.  On the cu core (Z = 0) the X, Y rows of J form
+    a block matrix whose least singular value is at least
+    min(|A| - rt, 1/(r + np)) - sqrt(n) t; expansion (|A| > 1) is verified
+    when this exceeds 1.  On the cs core (Y = 0), |Jv| is at most
+    hypot(max(|A| + rt, s + q rt) + sqrt(q) rt, sqrt(n) t, sqrt(nq) t);
+    contraction (|A| < 1) is verified when this is below 1.  Each is
+    claimed only on the side |A| selects.  `min_expansion_uu` bounds |Jv|
+    from below on unit uu vectors by |wy|, with |y| >= 1/sqrt(1 + 2K^2);
+    `max_contraction_ss` bounds |Jv| from above on the ss core (X = Y = 0).
+    `min_margin` is the least of the four cone margins.
+
+    At p = 0 the verdicts hold for every A_km != 0 and K > 0, since
+    z_rate < min(|A|, 1/y_rate) and y_rate * max(|A|, z_rate) < 1.  Every
+    bound is monotone in p, so the verdicts hold on an interval of bounds;
+    `phi_radius` is its right end up to the guard, found by bisection.
+
+    The model domain must be nonempty: some X of the cube maps into the cube
+    with phi_bound of slack, and the slab |Y| <= y_rate*delta - phi_bound
+    that the cube's Yb pulls back to is nonempty; otherwise NoImageInCube.
     """
-    dim = 1 + n_y + n_z
-    v = np.zeros(dim)
-    spread = 0.0 if core else 0.5 * K
-    if cone in ("cu", "cs"):
-        # core spans X (plus Y for cu / Z for cs)
-        v[0] = rng.uniform(-1.0, 1.0)
-        if cone == "cu" and n_y:
-            v[1:1 + n_y] = rng.uniform(-1.0, 1.0, n_y)
-        if cone == "cs" and n_z:
-            v[1 + n_y:] = rng.uniform(-1.0, 1.0, n_z)
-        core = float(np.abs(v[0]) + np.linalg.norm(v[1:]))
-        if core < 1e-9:
-            v[0] = 1.0
-            core = 1.0
-        if cone == "cu" and n_z:
-            v[1 + n_y:] = rng.uniform(-1.0, 1.0, n_z)
-            v[1 + n_y:] *= spread * core / max(np.linalg.norm(v[1 + n_y:]), 1e-300)
-        if cone == "cs" and n_y:
-            v[1:1 + n_y] = rng.uniform(-1.0, 1.0, n_y)
-            v[1:1 + n_y] *= spread * core / max(np.linalg.norm(v[1:1 + n_y]), 1e-300)
+    if not (K >= 0.0 and math.isfinite(K)):
+        raise DomainError(f"cone aperture K must be finite and >= 0, got {K!r}")
+    a, b, d, p = model.coeffs.A_km, model.coeffs.B_km, model.delta, model.phi_bound
+    lo, hi = sorted(((-d + p - b) / a, (d - p - b) / a))
+    if max(lo, -d) >= min(hi, d):
+        raise NoImageInCube(f"no X of the cube maps into the cube (B_km={b!r}, delta={d!r}, "
+                            f"phi_bound={p!r})")
+    if model.y_rate * d - p <= 0.0:
+        raise NoImageInCube(f"the Y slab y_rate*delta - phi_bound is empty at phi_bound={p!r}")
+
+    guard = model.phi_guard
+    if _holds(model, K, guard):
+        radius = guard
     else:
-        if cone == "uu":
-            if n_y == 0:
-                raise DomainError("uu cone needs an expanding block")
-            v[1:1 + n_y] = rng.uniform(-1.0, 1.0, n_y)
-            core = float(np.linalg.norm(v[1:1 + n_y]))
-            if core < 1e-9:
-                v[1] = 1.0
-                core = 1.0
-            v[0] = rng.uniform(-1.0, 1.0) * spread * core
-            if n_z:
-                v[1 + n_y:] = rng.uniform(-1.0, 1.0, n_z)
-                v[1 + n_y:] *= spread * core / max(np.linalg.norm(v[1 + n_y:]), 1e-300)
-        else:  # ss
-            if n_z == 0:
-                raise DomainError("ss cone needs a contracting block")
-            v[1 + n_y:] = rng.uniform(-1.0, 1.0, n_z)
-            core = float(np.linalg.norm(v[1 + n_y:]))
-            if core < 1e-9:
-                v[1 + n_y] = 1.0
-                core = 1.0
-            v[0] = rng.uniform(-1.0, 1.0) * spread * core
-            if n_y:
-                v[1:1 + n_y] = rng.uniform(-1.0, 1.0, n_y)
-                v[1:1 + n_y] *= spread * core / max(np.linalg.norm(v[1:1 + n_y]), 1e-300)
-    return v / np.linalg.norm(v)
-
-
-def _sample_domain_point(model: CrossMapModel, rng: np.random.Generator) -> PointInCube | None:
-    """Point of the cube whose image also lies in the cube, or None."""
-    a, b = model.coeffs.A_km, model.coeffs.B_km + model.mu_term
-    d = model.delta
-    # X must land in [-d, d] under x -> a x + b, up to the phi slack
-    slack = model.phi_bound
-    lo = (-d + slack - b) / a
-    hi = (d - slack - b) / a
-    if lo > hi:
-        lo, hi = hi, lo
-    lo, hi = max(lo, -d), min(hi, d)
-    if lo >= hi:
-        return None
-    x = float(rng.uniform(lo, hi))
-    # Y must sit inside the thin slab mapped from |Yb| <= delta
-    y_half = max(model.y_rate * d - model.phi_bound, 0.0)
-    if y_half <= 0.0:
-        return None
-    y = tuple(rng.uniform(-y_half, y_half, model.y_dim))
-    z = tuple(rng.uniform(-d, d, model.z_dim))
-    return PointInCube(x, y, z)
-
-
-def verify_cones(
-    model: CrossMapModel,
-    K: float,
-    n_samples: int,
-    seed: int,
-    vectors_per_point: int = 4,
-) -> ConeReport:
-    """Sample points with images in the cube and test the four cone families.
-
-    Forward: cu and uu cones must map strictly into themselves under the
-    Jacobian, uu vectors must expand; backward: cs and ss must be invariant
-    under the inverse Jacobian, ss vectors must contract under the forward
-    map.  Center expansion (|A_km| > 1) or contraction (|A_km| < 1) is
-    claimed and checked only on the side the coefficient selects.
-    """
-    rng = philox_rng(seed)
-    n_y, n_z = model.y_dim, model.z_dim
-    points: list[PointInCube] = []
-    attempts = 0
-    while len(points) < n_samples and attempts < 200 * n_samples:
-        attempts += 1
-        p = _sample_domain_point(model, rng)
-        if p is None:
-            continue
-        try:
-            model.apply_cross_forward(p)
-        except (NoImageInCube, NonConvergence):
-            continue
-        points.append(p)
-    if len(points) < n_samples:
-        raise InsufficientSamples(
-            f"found {len(points)} admissible points of {n_samples} requested"
-        )
-
-    a_mag = abs(model.coeffs.A_km)
-    expansion_claimed = a_mag > 1.0
-    contraction_claimed = a_mag < 1.0
-
-    fwd_cu = fwd_uu = bwd_cs = bwd_ss = True
-    center_exp_ok = True if expansion_claimed else None
-    center_con_ok = True if contraction_claimed else None
-    min_exp_uu = math.inf
-    max_con_ss = 0.0
-    min_margin = math.inf
-
-    for p in points:
-        jac = model.jacobian(p)
-        jac_inv = np.linalg.inv(jac)
-        for _ in range(vectors_per_point):
-            for cone, mat, forward in (
-                ("cu", jac, True),
-                ("uu", jac, True),
-                ("cs", jac_inv, False),
-                ("ss", jac_inv, False),
-            ):
-                v = _sample_cone_vector(cone, K, n_y, n_z, rng)
-                w = mat @ v
-                margin = _cone_membership(w, cone, K, n_y, n_z) / max(
-                    float(np.linalg.norm(w)), 1e-300
-                )
-                min_margin = min(min_margin, margin)
-                # K = 0 degenerates the cones to the axis subspaces, which a
-                # skew product preserves only weakly
-                ok = margin > 0.0 if K > 0.0 else margin >= -1e-12
-                if cone == "cu":
-                    fwd_cu &= ok
-                    if expansion_claimed:
-                        core = _sample_cone_vector("cu", K, n_y, n_z, rng, core=True)
-                        center_exp_ok = bool(
-                            center_exp_ok and float(np.linalg.norm(jac @ core)) > 1.0
-                        )
-                elif cone == "uu":
-                    fwd_uu &= ok
-                    min_exp_uu = min(min_exp_uu, float(np.linalg.norm(w)))
-                elif cone == "cs":
-                    bwd_cs &= ok
-                    if contraction_claimed:
-                        core = _sample_cone_vector("cs", K, n_y, n_z, rng, core=True)
-                        center_con_ok = bool(
-                            center_con_ok and float(np.linalg.norm(jac @ core)) < 1.0
-                        )
-                else:
-                    bwd_ss &= ok
-                    # forward contraction measured on the core of the cone
-                    core = _sample_cone_vector("ss", K, n_y, n_z, rng, core=True)
-                    max_con_ss = max(max_con_ss, float(np.linalg.norm(jac @ core)))
-
-    return ConeReport(
-        K=K,
-        samples=len(points),
-        forward_cu_ok=fwd_cu,
-        forward_uu_ok=fwd_uu,
-        backward_cs_ok=bwd_cs,
-        backward_ss_ok=bwd_ss,
-        min_expansion_uu=min_exp_uu,
-        max_contraction_ss=max_con_ss,
-        center_expansion_claimed=expansion_claimed,
-        center_expansion_ok=center_exp_ok,
-        center_contraction_claimed=contraction_claimed,
-        center_contraction_ok=center_con_ok,
-        min_margin=min_margin,
-    )
+        radius, hi = 0.0, guard
+        for _ in range(RADIUS_STEPS):
+            mid = 0.5 * (radius + hi)
+            if _holds(model, K, mid):
+                radius = mid
+            else:
+                hi = mid
+    return ConeReport(K=K, **_cone_fields(model, K, p)[1], phi_radius=radius)

@@ -78,9 +78,9 @@ def test_loose_tolerance_scan_memory_bounded():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("key", ["grid", "mu"])
+@pytest.mark.parametrize("key", ["grid", "mu", "n_samples"])
 def test_grid_override_rejected(key):
-    # neither key is read by any command
+    # no command reads any of these keys
     with pytest.raises(ValueError, match=key):
         cli.RunConfig("simple-check", str(DATA / "sf_rational_simple.json"), {key: "9"})
 

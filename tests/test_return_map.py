@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import blenderforge as bf
-from blenderforge.return_map import CrossMapModel, ReturnCoeffs, power_term
+from blenderforge.return_map import CrossMapModel, ReturnCoeffs, _cone_fields, power_term
 from conftest import df_spec, sf_spec
 
 
@@ -88,74 +89,216 @@ def test_sf_admissibility_is_entry_bound():
 # model map
 # ---------------------------------------------------------------------------
 
-def synthetic_model(a=0.5, b=0.01, delta=0.1, y_dim=1, z_dim=2,
-                    phi_bound=0.0, phi_seed=0):
+def synthetic_model(a=0.5, b=0.01, delta=0.1, y_dim=1, z_dim=2, phi_bound=0.0):
     rc = ReturnCoeffs(k=1, m=1, A_km=a, B_km=b, admissible=True)
-    return CrossMapModel(coeffs=rc, y_dim=y_dim, z_dim=z_dim, delta=delta,
-                         phi_bound=phi_bound, phi_seed=phi_seed)
+    return CrossMapModel(coeffs=rc, y_dim=y_dim, z_dim=z_dim, delta=delta, phi_bound=phi_bound)
 
 
-def test_forward_affine_example():
-    model = synthetic_model(a=0.5, b=0.01)
-    pt = bf.PointInCube(0.02, (0.0,), (0.0, 0.0))
-    assert model.apply_cross_forward(pt).x == pytest.approx(0.02, abs=1e-15)
-
-
-def test_forward_linear_fixed_point():
-    model = synthetic_model(a=0.7, b=0.0)
-    pt = bf.PointInCube(0.0, (0.0,), (0.0, 0.0))
-    assert model.apply_cross_forward(pt).x == 0.0
-
-
-def test_phi_bound_propagation():
-    base = synthetic_model(a=0.5, b=0.01)
-    pert = synthetic_model(a=0.5, b=0.01, phi_bound=1e-3, phi_seed=11)
-    pt = bf.PointInCube(0.02, (0.001,), (0.03, -0.05))
-    affine = base.coeffs.A_km * pt.x + base.coeffs.B_km
-    assert abs(pert.apply_cross_forward(pt).x - affine) <= 1e-3
-
-
-@pytest.mark.parametrize("phi_bound,seed", [(0.0, 0), (1e-4, 3), (1e-4, 9)])
-def test_round_trip_identity(phi_bound, seed):
-    model = synthetic_model(a=0.6, b=0.002, phi_bound=phi_bound, phi_seed=seed)
-    rng = np.random.default_rng(5)
-    y_half = model.y_rate * model.delta * 0.8
-    for _ in range(25):
-        pt = bf.PointInCube(
-            float(rng.uniform(-0.05, 0.05)),
-            (float(rng.uniform(-y_half, y_half)),),
-            tuple(rng.uniform(-0.09, 0.09, 2)),
-        )
-        try:
-            img = model.apply_cross_forward(pt)
-        except bf.NoImageInCube:
-            continue
-        back = model.apply_cross_backward(img)
-        assert abs(back.x - pt.x) < 1e-12
-        assert max(abs(a - b) for a, b in zip(back.y, pt.y)) < 1e-12
-        assert max(abs(a - b) for a, b in zip(back.z, pt.z)) < 1e-12
+def test_model_guard_and_default_rates():
+    model = synthetic_model(a=4.0, y_dim=2)
+    assert model.y_rate == pytest.approx(0.05 / 4.0)
+    assert model.z_rate == pytest.approx(0.05)
+    assert model.phi_guard == pytest.approx(0.25 * model.y_rate / 2)
+    with pytest.raises(bf.DomainError):
+        synthetic_model(a=4.0, y_dim=2, phi_bound=1.01 * model.phi_guard)
+    with pytest.raises(bf.DomainError):
+        synthetic_model(a=0.0)
 
 
 def test_image_outside_cube_raises():
+    # |B_km| > delta: no X of the cube maps into the cube
     model = synthetic_model(a=0.5, b=0.2, delta=0.1)
     with pytest.raises(bf.NoImageInCube):
-        model.apply_cross_forward(bf.PointInCube(0.09, (0.0,), (0.0, 0.0)))
+        bf.verify_cones(model, K=0.1)
+
+
+def test_empty_y_slab_raises():
+    model = synthetic_model(a=0.5, b=0.0)
+    # shrink the admissible Y slab to nothing
+    model = replace(model, phi_bound=model.y_rate * model.delta)
+    with pytest.raises(bf.NoImageInCube):
+        bf.verify_cones(model, K=0.1)
+
+
+# ---------------------------------------------------------------------------
+# sampled oracle: the Jacobian by implicit differentiation of the cross
+# relations at given gradient blocks of the remainders, and cone vectors
+# drawn over the whole closed cone
+# ---------------------------------------------------------------------------
+
+def oracle_jacobian(a, y_rate, z_rate, g1, g3, g4):
+    """Jacobian of (X, Y, Z) -> (Xb, Yb, Zb) with blocks ordered (X, Y, Z);
+    g1 (dim,), g3 (n_y, dim) and g4 (n_z, dim) are the gradients of phi1,
+    phi3 and phi4 with respect to (X, Yb, Z)."""
+    n_y, n_z = g3.shape[0], g4.shape[0]
+    dim = 1 + n_y + n_z
+    sl_x, sl_y, sl_z = slice(0, 1), slice(1, 1 + n_y), slice(1 + n_y, dim)
+    # d Yb / d(X, Y, Z): (y_rate*I + dphi3/dYb) dYb = [-dphi3/dX, I, -dphi3/dZ]
+    m_yb = y_rate * np.eye(n_y) + g3[:, sl_y]
+    rhs = np.zeros((n_y, dim))
+    rhs[:, sl_x] = -g3[:, sl_x]
+    rhs[:, sl_y] = np.eye(n_y)
+    rhs[:, sl_z] = -g3[:, sl_z]
+    d_yb = np.linalg.solve(m_yb, rhs)
+    jac = np.zeros((dim, dim))
+    jac[0, 0] = a + g1[0]
+    jac[0, sl_z] = g1[sl_z]
+    jac[0, :] += g1[sl_y] @ d_yb
+    jac[sl_y, :] = d_yb
+    jac[sl_z, sl_z] = z_rate * np.eye(n_z) + g4[:, sl_z]
+    jac[sl_z, 0] += g4[:, 0]
+    jac[sl_z, :] += g4[:, sl_y] @ d_yb
+    return jac
 
 
 def test_jacobian_matches_finite_differences():
-    model = synthetic_model(a=0.6, b=0.002, phi_bound=1e-4, phi_seed=21)
-    pt = bf.PointInCube(0.01, (1e-4,), (0.02, -0.03))
-    jac = model.jacobian(pt)
-    h = 1e-7
-    vec = pt.as_array()
-    num = np.zeros_like(jac)
-    for j in range(len(vec)):
-        vp = vec.copy(); vp[j] += h
-        vm = vec.copy(); vm[j] -= h
-        fp = model.apply_cross_forward(bf.PointInCube(vp[0], tuple(vp[1:2]), tuple(vp[2:])))
-        fm = model.apply_cross_forward(bf.PointInCube(vm[0], tuple(vm[1:2]), tuple(vm[2:])))
-        num[:, j] = (fp.as_array() - fm.as_array()) / (2 * h)
-    assert np.max(np.abs(jac - num)) < 1e-5
+    # remainders affine in (X, Yb, Z), so the cross relations solve exactly
+    rng = np.random.default_rng(21)
+    a, y_rate, z_rate, n_y, n_z = 0.6, 0.05, 0.03, 2, 2
+    dim = 1 + n_y + n_z
+    g1, g3, g4 = (rng.uniform(-1e-2, 1e-2, shape) for shape in (dim, (n_y, dim), (n_z, dim)))
+
+    def forward(v):
+        x, y, z = v[0], v[1:1 + n_y], v[1 + n_y:]
+        yb = np.linalg.solve(y_rate * np.eye(n_y) + g3[:, 1:1 + n_y],
+                             y - g3[:, 0] * x - g3[:, 1 + n_y:] @ z)
+        args = np.concatenate(([x], yb, z))
+        return np.concatenate(([a * x + g1 @ args], yb, z_rate * z + g4 @ args))
+
+    jac = oracle_jacobian(a, y_rate, z_rate, g1, g3, g4)
+    vec, h = rng.uniform(-0.05, 0.05, dim), 1e-6
+    num = np.column_stack([(forward(vec + h * e) - forward(vec - h * e)) / (2 * h)
+                           for e in np.eye(dim)])
+    assert np.max(np.abs(jac - num)) < 1e-8
+
+
+def draw_gradients(rng, p, n_y, n_z):
+    """Gradient blocks with entries in [-p, p]: the two constant-sign
+    corners, sign patterns at the corners, and uniform draws."""
+    dim = 1 + n_y + n_z
+    draws = [p * np.ones(dim * dim), -p * np.ones(dim * dim)]
+    draws += [p * rng.choice((-1.0, 1.0), dim * dim) for _ in range(24)]
+    draws += [rng.uniform(-p, p, dim * dim) for _ in range(24)]
+    for flat in draws:
+        yield flat[:dim], flat[dim:dim + dim * n_y].reshape(n_y, dim), \
+            flat[dim + dim * n_y:dim + dim * (n_y + n_z)].reshape(n_z, dim)
+
+
+def _blocks(n_y, n_z):
+    return {"x": slice(0, 1), "y": slice(1, 1 + n_y), "z": slice(1 + n_y, 1 + n_y + n_z)}
+
+
+#: each cone's core blocks (their norms summed) and transverse blocks
+#: (each bounded by K times that sum)
+CONES = {"cu": ("xy", "z"), "uu": ("y", "xz"), "cs": ("xz", "y"), "ss": ("z", "xy")}
+
+
+def draw_cone_vectors(rng, cone, K, n_y, n_z, count=64):
+    """Columns spread over the whole closed cone: a third keep only the
+    first core block, a third only the last, and half the transverse
+    blocks sit on the boundary."""
+    core, transverse = CONES[cone]
+    sl = _blocks(n_y, n_z)
+    v = np.zeros((1 + n_y + n_z, count))
+    for b in core:
+        v[sl[b]] = rng.uniform(-1.0, 1.0, (sl[b].stop - sl[b].start, count))
+    if len(core) == 2:
+        keep = rng.integers(0, 3, count)
+        v[sl[core[1]], keep == 0] = 0.0
+        v[sl[core[0]], keep == 1] = 0.0
+    size = sum(np.linalg.norm(v[sl[b]], axis=0) for b in core)
+    for b in transverse:
+        t = rng.normal(size=(sl[b].stop - sl[b].start, count))
+        scale = np.where(rng.random(count) < 0.5, 1.0, rng.random(count))
+        v[sl[b]] = t / np.linalg.norm(t, axis=0) * scale * K * size
+    return v / np.linalg.norm(v, axis=0)
+
+
+def sampled_margins(w, cone, K, n_y, n_z):
+    """K minus the aperture of each image column: positive inside the cone."""
+    core, transverse = CONES[cone]
+    sl = _blocks(n_y, n_z)
+    norm = {b: np.linalg.norm(w[sl[b]], axis=0) for b in "xyz"}
+    size = sum(norm[b] for b in core)
+    spread = np.max([norm[b] for b in transverse], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return K - np.where(size > 0, spread / size, np.inf)
+
+
+#: (A_km, y_dim, z_dim): contracting and expanding centers, with the strong
+#: rates far from and close to the center rate
+ORACLE_MODELS = [(0.5, 1, 2), (2.0, 1, 2), (0.05, 2, 1), (30.0, 2, 2), (1.5, 3, 1), (0.9, 1, 1)]
+
+
+@pytest.mark.parametrize("a,n_y,n_z", ORACLE_MODELS)
+@pytest.mark.parametrize("K", [0.0, 0.1, 0.6])
+def test_closed_form_bounds_sampled_cones(a, n_y, n_z, K):
+    rng = np.random.default_rng(7)
+    base = synthetic_model(a=a, b=0.0, delta=1.0, y_dim=n_y, z_dim=n_z)
+    radius = bf.verify_cones(base, K).phi_radius
+    sweep = sorted({0.0, 0.5 * radius, radius, 0.5 * (radius + base.phi_guard), base.phi_guard})
+    for p in sweep:
+        model = replace(base, phi_bound=p)
+        rep = bf.verify_cones(model, K)
+        verdicts = {"cu": rep.forward_cu_ok, "uu": rep.forward_uu_ok,
+                    "cs": rep.backward_cs_ok, "ss": rep.backward_ss_ok}
+        margins = dict(zip(CONES, _cone_fields(model, K, p)[0]))
+        lowest = {cone: math.inf for cone in CONES}
+        uu_norm, ss_norm, cu_core, cs_core = math.inf, 0.0, math.inf, 0.0
+        z_axis = np.zeros((1 + n_y + n_z, n_z))
+        z_axis[1 + n_y:] = np.eye(n_z)
+        for g1, g3, g4 in draw_gradients(rng, p, n_y, n_z):
+            jac = oracle_jacobian(a, model.y_rate, model.z_rate, g1, g3, g4)
+            try:
+                jac_inv = np.linalg.inv(jac)
+            except np.linalg.LinAlgError:
+                assert not (rep.backward_cs_ok or rep.backward_ss_ok), p
+                jac_inv = None
+            for cone in CONES:
+                if jac_inv is None and cone in ("cs", "ss"):
+                    continue
+                v = draw_cone_vectors(rng, cone, K, n_y, n_z)
+                w = (jac if cone in ("cu", "uu") else jac_inv) @ v
+                lowest[cone] = min(lowest[cone], float(np.min(sampled_margins(w, cone, K, n_y, n_z))))
+                if cone == "uu":
+                    uu_norm = min(uu_norm, float(np.min(np.linalg.norm(jac @ v, axis=0))))
+            ss_norm = max(ss_norm, float(np.max(np.linalg.norm(jac @ z_axis, axis=0))))
+            # K = 0 draws the cores: Z = 0 for cu, Y = 0 for cs
+            cu_core = min(cu_core, float(np.min(np.linalg.norm(
+                jac @ draw_cone_vectors(rng, "cu", 0.0, n_y, n_z), axis=0))))
+            cs_core = max(cs_core, float(np.max(np.linalg.norm(
+                jac @ draw_cone_vectors(rng, "cs", 0.0, n_y, n_z), axis=0))))
+        tol = 1e-12
+        for cone in CONES:
+            # the closed form never claims a cone that a sample leaves ...
+            if verdicts[cone]:
+                assert lowest[cone] > 0.0 if K > 0.0 else lowest[cone] >= -tol, (p, cone)
+            # ... and its margin bounds every sampled margin from below
+            assert lowest[cone] >= margins[cone] - tol * (1.0 + abs(margins[cone])), (p, cone)
+        assert rep.min_margin == min(margins.values())
+        assert uu_norm >= rep.min_expansion_uu * (1.0 - tol)
+        assert ss_norm <= rep.max_contraction_ss * (1.0 + tol)
+        if rep.center_expansion_ok:
+            assert cu_core > 1.0
+        if rep.center_contraction_ok:
+            assert cs_core < 1.0
+
+
+@pytest.mark.parametrize("a,n_y,n_z", ORACLE_MODELS)
+@pytest.mark.parametrize("K", [0.1, 0.6, 3.0])
+def test_verdicts_hold_below_phi_radius(a, n_y, n_z, K):
+    base = synthetic_model(a=a, b=0.0, delta=1.0, y_dim=n_y, z_dim=n_z)
+    radius = bf.verify_cones(base, K).phi_radius
+    assert 0.0 < radius <= base.phi_guard
+    flags = ("forward_cu_ok", "forward_uu_ok", "backward_cs_ok", "backward_ss_ok",
+             "center_expansion_ok", "center_contraction_ok")
+    rep = bf.verify_cones(replace(base, phi_bound=0.999 * radius), K)
+    assert rep.phi_radius == radius
+    assert all(getattr(rep, f) is not False for f in flags)
+    if radius < base.phi_guard:
+        # the radius is the largest such bound: just above it a verdict fails
+        above = bf.verify_cones(replace(base, phi_bound=min(1.001 * radius, base.phi_guard)), K)
+        assert any(getattr(above, f) is False for f in flags)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +307,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_cones_contracting_band():
     model = synthetic_model(a=0.5, b=0.0)
-    rep = bf.verify_cones(model, K=0.1, n_samples=25, seed=2)
+    rep = bf.verify_cones(model, K=0.1)
     assert rep.forward_cu_ok and rep.forward_uu_ok
     assert rep.backward_cs_ok and rep.backward_ss_ok
     assert rep.min_expansion_uu > 1.0
@@ -177,16 +320,18 @@ def test_cones_contracting_band():
 
 def test_cones_expanding_band():
     model = synthetic_model(a=2.0, b=0.0)
-    rep = bf.verify_cones(model, K=0.1, n_samples=25, seed=2)
+    rep = bf.verify_cones(model, K=0.1)
     assert rep.center_expansion_claimed and rep.center_expansion_ok
     assert rep.forward_cu_ok and rep.backward_cs_ok
 
 
 def test_cones_degenerate_K_zero():
     model = synthetic_model(a=0.5, b=0.0)
-    rep = bf.verify_cones(model, K=0.0, n_samples=10, seed=4)
+    rep = bf.verify_cones(model, K=0.0)
     assert rep.forward_cu_ok and rep.forward_uu_ok
     assert rep.backward_cs_ok and rep.backward_ss_ok
+    # at K = 0 any remainder tilts the axis subspaces
+    assert rep.phi_radius == 0.0
 
 
 def test_cones_pass_on_searched_pairs(sf1_setup):
@@ -194,15 +339,8 @@ def test_cones_pass_on_searched_pairs(sf1_setup):
     seq = bf.search_pairs(spec, moduli, bf.CaseTag.SF_1, eps=1e-3)
     for (k, m) in seq.pairs[:5]:
         model = bf.build_model(spec, k, m)
-        rep = bf.verify_cones(model, K=0.1, n_samples=15, seed=1)
+        rep = bf.verify_cones(model, K=0.1)
         assert rep.forward_cu_ok and rep.forward_uu_ok
         assert rep.backward_cs_ok and rep.backward_ss_ok
         assert rep.min_margin > 0
-
-
-def test_insufficient_samples():
-    model = synthetic_model(a=0.5, b=0.0)
-    # shrink the admissible Y slab to nothing
-    model.phi_bound = model.y_rate * model.delta  # type: ignore[misc]
-    with pytest.raises(bf.InsufficientSamples):
-        bf.verify_cones(model, K=0.1, n_samples=10, seed=0)
+        assert rep.phi_radius > 0

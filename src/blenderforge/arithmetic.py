@@ -47,6 +47,13 @@ log = logging.getLogger(__name__)
 
 ZERO_TOL = 1e-12
 UNIT_TOL = 1e-9
+#: k (or m) range that `check_A2` scans for an irrational angle
+WITNESS_WINDOW = 256
+#: |alpha| band of a cs and of a cu request in the band cases
+CS_BAND = (0.3, 0.7)
+CU_BAND = (1.5, 3.0)
+#: the line-profile root scans run over |s| <= SCAN_HALFWIDTH
+SCAN_HALFWIDTH = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +113,7 @@ def _check_angle_pair(q: int, p: int) -> None:
         raise DomainError(f"angle p/q={p}/{q} needs coprime p, q with q >= 3")
 
 
-def check_A1(
-    spec: CycleSpec,
-    q: int,
-    p: int,
-    zero_tol: float = ZERO_TOL,
-    unit_tol: float = UNIT_TOL,
-) -> list[ResidueWitness]:
+def check_A1(spec: CycleSpec, q: int, p: int) -> list[ResidueWitness]:
     """Enumerate residues r of k mod q passing the three coefficient
     inequalities; nonempty whenever q >= 9.
 
@@ -131,10 +132,10 @@ def check_A1(
         s2 = math.sin(angle + spec.eta2)
         ineq = {
             "bu_sin2_positive": bu * s2 > 0.0,
-            "sin1_nonzero": abs(s1) > zero_tol,
+            "sin1_nonzero": abs(s1) > ZERO_TOL,
         }
         alpha = alpha_sf(spec, angle)
-        ineq["alpha_not_unit"] = math.isfinite(alpha) and abs(abs(alpha) - 1.0) > unit_tol
+        ineq["alpha_not_unit"] = math.isfinite(alpha) and abs(abs(alpha) - 1.0) > UNIT_TOL
         if all(ineq.values()):
             out.append(ResidueWitness(r=r, alpha=alpha, inequalities=ineq))
     out.sort(key=lambda w: (-w.band_margin, w.r))
@@ -147,17 +148,13 @@ def check_A2(
     p1: int | None = None,
     q2: int | None = None,
     p2: int | None = None,
-    zero_tol: float = ZERO_TOL,
-    unit_tol: float = UNIT_TOL,
-    k_window: int = 256,
-    m_window: int = 256,
 ) -> list[ResidueWitness]:
     """Enumerate residue pairs (r1, r2) passing the double-focus inequalities.
 
     With both angles rational the scan runs over the q1*q2 residue grid and
     is guaranteed nonempty for q1 >= 9, q2 >= 8.  For an irrational angle
-    pass None for its (q, p) and the scan runs over a bounded k (or m)
-    window instead; the witness field then holds the integer itself.
+    pass None for its (q, p) and the scan runs over k (or m) in
+    1..WITNESS_WINDOW instead; the witness field then holds the integer itself.
     """
     if spec.is_saddle_focus:
         raise NotApplicable("check_A2 applies to double_focus cycles")
@@ -167,27 +164,25 @@ def check_A2(
         _check_angle_pair(q1, p1 or 0)
         k_angles = [(r, r * TWO_PI * p1 / q1) for r in range(q1)]  # type: ignore[operator]
     else:
-        k_angles = [(k, k * spec.omega1) for k in range(1, k_window + 1)]
+        k_angles = [(k, k * spec.omega1) for k in range(1, WITNESS_WINDOW + 1)]
     if q2 is not None:
         _check_angle_pair(q2, p2 or 0)
         m_angles = [(r, r * TWO_PI * p2 / q2) for r in range(q2)]  # type: ignore[operator]
     else:
-        m_angles = [(m, m * spec.omega2) for m in range(1, m_window + 1)]
+        m_angles = [(m, m * spec.omega2) for m in range(1, WITNESS_WINDOW + 1)]
 
     out: list[ResidueWitness] = []
-    for r2, w_angle, xi_num, _ in _m_residues(spec, m_angles, zero_tol):
+    for r2, w_angle, xi_num, _ in _m_residues(spec, m_angles):
         for r1, s_angle in k_angles:
             s1 = math.sin(s_angle + spec.eta1)
             s2 = math.sin(s_angle + spec.eta2)
             ineq = {
                 "quant": True,
                 "xi_sin2_positive": xi_num * s2 > 0.0,
-                "sin1_nonzero": abs(s1) > zero_tol,
+                "sin1_nonzero": abs(s1) > ZERO_TOL,
             }
             alpha = alpha_df(spec, s_angle, w_angle)
-            ineq["alpha_not_unit"] = (
-                math.isfinite(alpha) and abs(abs(alpha) - 1.0) > unit_tol
-            )
+            ineq["alpha_not_unit"] = math.isfinite(alpha) and abs(abs(alpha) - 1.0) > UNIT_TOL
             if all(ineq.values()):
                 out.append(ResidueWitness(r=r1, alpha=alpha, inequalities=ineq, r2=r2))
     out.sort(key=lambda w: (-w.band_margin, w.r, w.r2 or 0))
@@ -206,7 +201,7 @@ def eval_gh(spec: CycleSpec, t: float, s: float, w: float) -> tuple[float, float
     """
     if spec.is_saddle_focus:
         raise NotApplicable("eval_gh applies to double_focus cycles")
-    wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w, pole_tol=1e-14)
+    wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w)
     gt = math.exp(t * math.log(spec.gamma))
     g = gt * wa * math.sin(TWO_PI * s + spec.eta1)
     h = gt * wb * math.sin(TWO_PI * s + spec.eta2) - xi
@@ -274,11 +269,9 @@ def _wave_margins(spec: CycleSpec, w_star: float) -> dict[str, float]:
     }
 
 
-def target_admissible(
-    spec: CycleSpec, target: TorusTarget, margin_min: float = 1e-12
-) -> TorusTarget:
-    """Evaluate the admissibility inequalities; returns the target with its
-    verdict and numeric margins filled in."""
+def target_admissible(spec: CycleSpec, target: TorusTarget) -> TorusTarget:
+    """Evaluate the admissibility inequalities, each margin above ZERO_TOL;
+    returns the target with its verdict and numeric margins filled in."""
     if spec.is_saddle_focus:
         raise NotApplicable("torus targets apply to double_focus cycles")
     p = target.params
@@ -308,7 +301,7 @@ def target_admissible(
             margins["direction_nonzero"] = p["a"] ** 2 + p["b"] ** 2
     else:
         raise DomainError(f"unknown target kind {target.kind!r}")
-    ok = all(v > margin_min for v in margins.values())
+    ok = all(v > ZERO_TOL for v in margins.values())
     return replace(target, admissible=ok, margins=margins)
 
 
@@ -320,8 +313,6 @@ def target_admissible(
 class SearchWindow:
     k_max: int = 100_000
     m_max: int = 100_000
-    k_min: int = 1
-    m_min: int = 1
 
 
 @dataclass(frozen=True)
@@ -375,20 +366,21 @@ class _Search:
     window: SearchWindow
     kind: str | None
     min_pairs: int
-    band: tuple[float, float] | None
-    scan_halfwidth: float
     residue_rank: int
 
     @property
     def what(self) -> str:
         return self.case.value
 
+    @property
+    def limit(self) -> int | None:
+        """eps = inf keeps the first max(min_pairs, 1) distinct pairs."""
+        return max(self.min_pairs, 1) if math.isinf(self.eps) else None
+
     def band_limits(self) -> tuple[str, float, float]:
         """The requested side (cs unless asked) and its |alpha| band."""
         kind = self.kind or "cs"
-        if self.band is not None:
-            return kind, self.band[0], self.band[1]
-        return (kind, 0.3, 0.7) if kind == "cs" else (kind, 1.5, 3.0)
+        return (kind, *(CS_BAND if kind == "cs" else CU_BAND))
 
 
 #: a kept candidate: k, m, its distance to the target and its coefficients
@@ -399,21 +391,20 @@ def _assemble(
     s: _Search,
     kept: Sequence[_Kept],
     best_distance: float,
-    what: str,
-    target: TorusTarget | None = None,
-    residue: dict[str, int] | None = None,
-    alpha_ref: float | None = None,
+    target: TorusTarget | None,
+    residue: dict[str, int] | None,
+    alpha_ref: float | None,
 ) -> PairSequence:
     """The pair sequence of the kept candidates, one per (k, m) in (k, m)
     order; a repeated pair keeps its last distance."""
     kept = sorted({t[:2]: t for t in kept}.values(), key=lambda t: t[:2])
     if len(kept) < max(s.min_pairs, 1):
         raise WindowExhausted(
-            f"{what}: found {len(kept)} pairs (best distance {best_distance:.3e})",
+            f"{s.what}: found {len(kept)} pairs (best distance {best_distance:.3e})",
             best_distance=best_distance,
             found=len(kept),
         )
-    log.info("%s: kept %d pairs, best distance %.3e", what, len(kept), best_distance)
+    log.info("%s: kept %d pairs, best distance %.3e", s.what, len(kept), best_distance)
     return PairSequence(
         pairs=tuple((k, m) for k, m, _, _ in kept),
         target_values=tuple(_torus_point(s.spec, s.moduli.theta, k, m) for k, m, _, _ in kept),
@@ -480,7 +471,7 @@ def _tilted_relation(s: _Search) -> tuple[int, int, int, int]:
 
 
 def _m_residues(
-    spec: CycleSpec, m_angles: Iterable[tuple[int, float]], zero_tol: float = ZERO_TOL
+    spec: CycleSpec, m_angles: Iterable[tuple[int, float]]
 ) -> list[tuple[int, float, float, float]]:
     """The m-rotations whose denominators clear quant_bound(delta) and whose
     xi numerator is nonzero, as (index, angle, xi numerator, margin score)."""
@@ -492,7 +483,7 @@ def _m_residues(
         if margin <= cdelta:
             continue
         xi_num = math.cos(angle + spec.eta3) * u1 + math.sin(angle + spec.eta3) * u2
-        if abs(xi_num) > zero_tol:
+        if abs(xi_num) > ZERO_TOL:
             out.append((r, angle, xi_num, min(margin - cdelta, abs(xi_num))))
     return out
 
@@ -579,37 +570,51 @@ def _df_target_tstar(spec: CycleSpec, s_star: float, w_star: float) -> float:
     return math.log(ratio) / math.log(spec.gamma)
 
 
+def residue_tstar(spec: CycleSpec, r: int) -> float:
+    """SF-1: t* = log(bu / (B*sin(r*omega1 + eta2))) / log|gamma|, where the
+    B-profile |gamma|^t*B*sin(r*omega1 + eta2) - bu of residue r vanishes."""
+    bu = spec.b_coef * spec.u_scalar
+    s2 = math.sin(r * spec.omega1 + spec.eta2)
+    return math.log(bu / (spec.B_coef * s2)) / math.log(abs(spec.gamma))
+
+
 # ---------------------------------------------------------------------------
 # The shared funnel: window mask, coarse gap, one exact evaluation, assembly
 # ---------------------------------------------------------------------------
 
 def _funnel(
-    spec: CycleSpec,
-    ks: np.ndarray,
-    ms: np.ndarray,
-    dists: np.ndarray,
-    threshold: float | np.ndarray,
-    eps_b: float | None,
-    best_of_b: bool,
+    spec: CycleSpec, ks: np.ndarray, ms: np.ndarray, dists: np.ndarray,
+    threshold: float | np.ndarray, eps_b: float | None, best_of_b: bool, limit: int | None,
     expanding: bool = False,
 ) -> tuple[list[_Kept], float]:
     """Coarse gap on the windowed candidates, then one `coeffs` evaluation
     per survivor, keeping the admissible ones with |B_km| <= eps_b (when
-    bounded) and, for expanding searches, |A_km| > 1.
+    bounded) and, for expanding searches, |A_km| > 1.  With a `limit`
+    (eps = inf) the survivors run in (k, m) order, a repeated pair once with
+    its last distance, and the funnel stops at `limit` kept.
 
     Returns the kept candidates and the best distance: the best admissible
     |B_km| when best_of_b, else the least distance of any windowed candidate.
     """
     coarse = dists <= threshold
+    cks, cms, cds = ks[coarse], ms[coarse], dists[coarse]
+    if limit is not None:
+        order = np.lexsort((cms, cks))
+        cks, cms, cds = cks[order], cms[order], cds[order]
+        last = np.ones(cks.size, dtype=bool)
+        last[:-1] = (cks[1:] != cks[:-1]) | (cms[1:] != cms[:-1])
+        cks, cms, cds = cks[last], cms[last], cds[last]
     kept: list[_Kept] = []
     best = math.inf
-    for k, m, dist in zip(ks[coarse].tolist(), ms[coarse].tolist(), dists[coarse].tolist()):
+    for k, m, dist in zip(cks.tolist(), cms.tolist(), cds.tolist()):
         rc = coeffs(spec, int(k), int(m))
         if not rc.admissible:
             continue
         best = min(best, abs(rc.B_km))
         if (eps_b is None or abs(rc.B_km) <= eps_b) and (not expanding or abs(rc.A_km) > 1.0):
             kept.append((int(k), int(m), float(dist), rc))
+            if len(kept) == limit:
+                break
     if not best_of_b:
         best = float(np.min(dists)) if dists.size else math.inf
     return kept, best
@@ -617,57 +622,46 @@ def _funnel(
 
 # -- k lattice ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Lattice:
-    """A k-lattice case.
-
-    k runs over r + q*kp (k_class) inside the window; `aim` keeps the ks
-    that qualify and gives the t* each aims at (one number or one per k),
-    and m is the integer of its class m_class nearest t* + theta*k.  With
-    `slope` set, eps bounds |B_km| and the coarse gap on t is 2*eps/slope;
-    without it eps bounds the torus distance, which also takes in the circle
-    distances of k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
+def _lattice(
+    s: _Search, k_class: tuple[int, int], m_class: tuple[int, int],
+    aim: Callable[[np.ndarray], tuple[np.ndarray, Any]], slope: float | None = None,
+    s_circle: float | None = None, w_circle: float | None = None,
+    target: TorusTarget | None = None, residue: dict[str, int] | None = None,
+    alpha_ref: float | None = None,
+) -> PairSequence:
+    """SF-1, DF-1, SF-3, DF-2.1, DF-3.1, DF-3.2: k runs over r + q*kp
+    (k_class) inside the window; `aim` keeps the ks that qualify and gives
+    the t* each aims at (one number or one per k), and m is the integer of
+    its class m_class nearest t* + theta*k.  With `slope` set, eps bounds
+    |B_km| and the coarse gap on t is 2*eps/slope; without it eps bounds the
+    torus distance, which also takes in the circle distances of
+    k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
     """
-
-    k_class: tuple[int, int]
-    m_class: tuple[int, int]
-    aim: Callable[[np.ndarray], tuple[np.ndarray, Any]]
-    slope: float | None = None
-    s_circle: float | None = None
-    w_circle: float | None = None
-    target: TorusTarget | None = None
-    residue: dict[str, int] = field(default_factory=dict)
-    alpha_ref: float | None = None
-
-
-def _lattice(s: _Search, blk: _Lattice) -> PairSequence:
-    """SF-1, DF-1, SF-3, DF-2.1, DF-3.1, DF-3.2: the aimed ks of k = r + q*kp
-    inside the window, each with the m of its class nearest its t*."""
     spec, theta = s.spec, s.moduli.theta
-    r, q = blk.k_class
-    kp_lo = max(0 if r >= 1 else 1, math.ceil((max(s.window.k_min, 1) - r) / q))
+    r, q = k_class
+    kp_lo = 0 if r >= 1 else 1
     kp_hi = (s.window.k_max - r) // q
     if kp_hi < kp_lo:
         raise WindowExhausted(f"{s.what}: empty k window", found=0)
-    ks, t_star = blk.aim(r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64))
+    ks, t_star = aim(r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64))
     ideal = t_star + theta * ks
-    r, q = blk.m_class
+    r, q = m_class
     ms = r + q * np.round((ideal - r) / q).astype(np.int64)
     if spec.is_saddle_focus:
         dist = np.abs(ms - ideal)
     else:
         dist = np.abs((ms - theta * ks) - t_star)
-    if blk.s_circle is not None:
-        dist = np.maximum(dist, _circle_gap(ks * (spec.omega1 / TWO_PI), blk.s_circle))
-    if blk.w_circle is not None:
-        dist = np.maximum(dist, _circle_gap(ms * (spec.omega2 / TWO_PI), blk.w_circle))
-    ok = (ms >= max(s.window.m_min, 1)) & (ms <= s.window.m_max)
-    if blk.slope is None:
-        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], s.eps, None, False)
+    if s_circle is not None:
+        dist = np.maximum(dist, _circle_gap(ks * (spec.omega1 / TWO_PI), s_circle))
+    if w_circle is not None:
+        dist = np.maximum(dist, _circle_gap(ms * (spec.omega2 / TWO_PI), w_circle))
+    ok = (ms >= 1) & (ms <= s.window.m_max)
+    if slope is None:
+        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], s.eps, None, False, s.limit)
     else:
-        threshold = 2.0 * s.eps / blk.slope + 1e-12
-        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], threshold, s.eps, True)
-    return _assemble(s, kept, best, s.what, blk.target, blk.residue, blk.alpha_ref)
+        threshold = 2.0 * s.eps / slope + 1e-12
+        kept, best = _funnel(spec, ks[ok], ms[ok], dist[ok], threshold, s.eps, True, s.limit)
+    return _assemble(s, kept, best, target, residue, alpha_ref)
 
 
 def _band_aim(
@@ -689,22 +683,21 @@ def _band_aim(
     return aim
 
 
-def _sf_residue_block(s: _Search) -> _Lattice:
+def _sf_residue_block(s: _Search) -> PairSequence:
     """SF-1: the residue r of k mod q picked by check_A1."""
     spec = s.spec
     pq = s.moduli.rational("omega1")
     q, p = pq.denominator, pq.numerator
     wit = _pick_witness(check_A1(spec, q, p), s.kind, "SF-1", s.residue_rank)
-    bu = spec.b_coef * spec.u_scalar
-    log_gamma = math.log(abs(spec.gamma))
-    t_star = math.log(bu / (spec.B_coef * math.sin(wit.r * spec.omega1 + spec.eta2))) / log_gamma
-    return _Lattice(
-        k_class=(wit.r, q), m_class=(0, sign_period(spec)), aim=lambda ks: (ks, t_star),
-        slope=abs(bu) * log_gamma, residue={"r": wit.r, "q": q, "p": p}, alpha_ref=wit.alpha,
+    t_star = residue_tstar(spec, wit.r)
+    return _lattice(
+        s, (wit.r, q), (0, sign_period(spec)), lambda ks: (ks, t_star),
+        slope=abs(spec.b_coef * spec.u_scalar) * math.log(abs(spec.gamma)),
+        residue={"r": wit.r, "q": q, "p": p}, alpha_ref=wit.alpha,
     )
 
 
-def _df_residue_block(s: _Search) -> _Lattice:
+def _df_residue_block(s: _Search) -> PairSequence:
     """DF-1: the residue pair (r1, r2) picked by check_A2, aiming at its
     horizontal line."""
     spec = s.spec
@@ -716,29 +709,29 @@ def _df_residue_block(s: _Search) -> _Lattice:
     s_star = frac(r1 * p1 / q1)
     w_star = frac(r2 * p2 / q2)
     t_star = _df_target_tstar(spec, s_star, w_star)
-    return _Lattice(
-        k_class=(r1, q1), m_class=(r2, q2), aim=lambda ks: (ks, t_star),
+    return _lattice(
+        s, (r1, q1), (r2, q2), lambda ks: (ks, t_star),
         target=TorusTarget.horizontal_line(s_star, w_star),
         residue={"r1": r1, "r2": r2, "q1": q1, "p1": p1, "q2": q2, "p2": p2},
         alpha_ref=wit.alpha,
     )
 
 
-def _sf_band_block(s: _Search) -> _Lattice:
+def _sf_band_block(s: _Search) -> PairSequence:
     """SF-3: every k whose band value lies in the requested band."""
     spec = s.spec
     kind, lo, hi = s.band_limits()
     bu = spec.b_coef * spec.u_scalar
     lg = math.log(abs(spec.gamma))
     mid = 0.5 * (lo + hi)
-    return _Lattice(
-        k_class=(0, 1), m_class=(0, sign_period(spec)),
-        aim=_band_aim(spec, lo, hi, bu * spec.A_coef, spec.B_coef, bu, bu, lg),
+    return _lattice(
+        s, (0, 1), (0, sign_period(spec)),
+        _band_aim(spec, lo, hi, bu * spec.A_coef, spec.B_coef, bu, bu, lg),
         slope=abs(bu) * lg, alpha_ref=mid if kind == "cs" else -mid,
     )
 
 
-def _df_band_block(s: _Search) -> _Lattice:
+def _df_band_block(s: _Search) -> PairSequence:
     """DF-2.1: SF-3 on the plane w = w* of the m-residue with the largest
     admissibility margins."""
     spec = s.spec
@@ -752,15 +745,14 @@ def _df_band_block(s: _Search) -> _Lattice:
     w_star = frac(r2 * p2 / q2)
     wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
     lg = math.log(spec.gamma)
-    return _Lattice(
-        k_class=(0, 1), m_class=(r2, q2),
-        aim=_band_aim(spec, lo, hi, xi * wa, wb, xi, xi * wb, lg),
+    return _lattice(
+        s, (0, 1), (r2, q2), _band_aim(spec, lo, hi, xi * wa, wb, xi, xi * wb, lg),
         slope=max(abs(xi) * lg, 1e-9), target=TorusTarget.plane(w_star=w_star),
         residue={"r2": r2, "q2": q2, "p2": p2},
     )
 
 
-def _df_grid_block(s: _Search) -> _Lattice:
+def _df_grid_block(s: _Search) -> PairSequence:
     """DF-3.1: the (s*, w*) grid point with the healthiest margins in the
     requested band; ks are prefiltered on their circle distance to s*."""
     spec = s.spec
@@ -790,14 +782,13 @@ def _df_grid_block(s: _Search) -> _Lattice:
     _, s_star, w_star = best_t
     t_star = _df_target_tstar(spec, s_star, w_star)
     w1_hat = spec.omega1 / TWO_PI
-    return _Lattice(
-        k_class=(0, 1), m_class=(0, 1),
-        aim=lambda ks: (ks[_circle_gap(ks * w1_hat, s_star) <= s.eps], t_star),
+    return _lattice(
+        s, (0, 1), (0, 1), lambda ks: (ks[_circle_gap(ks * w1_hat, s_star) <= s.eps], t_star),
         s_circle=s_star, w_circle=w_star, target=TorusTarget.horizontal_line(s_star, w_star),
     )
 
 
-def _df_plane_block(s: _Search) -> _Lattice:
+def _df_plane_block(s: _Search) -> PairSequence:
     """DF-3.2: a target point on the plane of the 4-term relation, found by
     a grid in s and a root in t; k and m run over the relation's lattice."""
     spec = s.spec
@@ -830,9 +821,9 @@ def _df_plane_block(s: _Search) -> _Lattice:
     if best_t is None:
         raise WindowExhausted("DF-3.2: no admissible target point on the plane", found=0)
     _, t_star, s_star = best_t
-    return _Lattice(
-        k_class=(0, pq3.denominator), m_class=(0, pq1.denominator),
-        aim=lambda ks: (ks, t_star), s_circle=s_star, target=TorusTarget.plane(a=a_pl, b=b_pl),
+    return _lattice(
+        s, (0, pq3.denominator), (0, pq1.denominator), lambda ks: (ks, t_star),
+        s_circle=s_star, target=TorusTarget.plane(a=a_pl, b=b_pl),
     )
 
 
@@ -851,34 +842,31 @@ class _Profile:
     w: float | None = None  # the profile's fixed w, measured into the distance
 
 
-@dataclass(frozen=True)
-class _Line:
-    """A line-profile case: its profiles, how many points scan each and how
-    many expanding roots each gives, and lattice(s0, profile), the (k, m)
-    candidates of a root with their distances.  w_of(s0), when set, drops
-    roots whose w fails the denominator margin; eps bounds |B_km| when
-    bound_b, and the coarse gap is at least `floor`."""
-
-    profiles: list[_Profile]
-    lattice: Callable[[float, _Profile], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    n_scan: int = 4096
-    per_profile: int = 6
-    w_of: Callable[[float], float] | None = None
-    bound_b: bool = True
-    best_of_b: bool = False
-    floor: float = 0.0
+#: the (k, m) candidates of a root s0 of a profile, with their distances
+_LineLattice = Callable[[float, _Profile], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _line_lattice(s: _Search, blk: _Line) -> PairSequence:
+def _line_lattice(
+    s: _Search, profiles: list[_Profile], lattice: _LineLattice, n_scan: int = 4096,
+    per_profile: int = 6, w_of: Callable[[float], float] | None = None,
+    bound_b: bool = True, best_of_b: bool = False, floor: float = 0.0,
+) -> PairSequence:
     """SF-2, DF-2.2, DF-3.3.x: the best expanding roots of one profile, each
-    with a (k, m) lattice whose torus points approach it."""
-    spec, hw = s.spec, s.scan_halfwidth
+    with a (k, m) lattice whose torus points approach it.
+
+    Each profile's root scan takes n_scan points over |s| <= SCAN_HALFWIDTH
+    and gives at most per_profile expanding roots; w_of(s0), when set, drops
+    roots whose w fails the denominator margin.  lattice(s0, profile) gives
+    the candidates of a root.  eps bounds |B_km| when bound_b, and the
+    coarse gap is at least `floor`.
+    """
+    spec, hw = s.spec, SCAN_HALFWIDTH
     roots: list[tuple[float, int, float, float]] = []  # score, profile, s0, alpha
-    for i, prof in enumerate(blk.profiles):
-        found = _root_scan(prof.h, -hw, hw, blk.n_scan)
-        for score, s0, a in _expanding_roots(found, prof.alpha, limit=blk.per_profile):
-            if blk.w_of is not None and (
-                quant_margin(spec, TWO_PI * blk.w_of(s0)) <= quant_bound(spec.delta)
+    for i, prof in enumerate(profiles):
+        found = _root_scan(prof.h, -hw, hw, n_scan)
+        for score, s0, a in _expanding_roots(found, prof.alpha, limit=per_profile):
+            if w_of is not None and (
+                quant_margin(spec, TWO_PI * w_of(s0)) <= quant_bound(spec.delta)
             ):
                 continue
             roots.append((score, i, s0, a))
@@ -890,19 +878,19 @@ def _line_lattice(s: _Search, blk: _Line) -> PairSequence:
     roots.sort(key=lambda t: t[0])
     # all pairs come from one target line, i.e. one profile
     ref = roots[0][1]
-    prof = blk.profiles[ref]
+    prof = profiles[ref]
     parts = []
     for _, _, s0, _ in [t for t in roots if t[1] == ref][:6]:
-        ks, ms, dist = blk.lattice(s0, prof)
-        good = (ms >= max(s.window.m_min, 1)) & (ms <= s.window.m_max) & (ks >= s.window.k_min)
-        accept = max(_slope_radius(prof.h, s0, s.eps), blk.floor)
+        ks, ms, dist = lattice(s0, prof)
+        good = (ms >= 1) & (ms <= s.window.m_max)
+        accept = max(_slope_radius(prof.h, s0, s.eps), floor)
         parts.append((ks[good], ms[good], dist[good], np.full(int(good.sum()), accept)))
     ks, ms, dist, threshold = (np.concatenate(c) for c in zip(*parts))
     kept, best = _funnel(
-        spec, ks, ms, dist, threshold, s.eps if blk.bound_b else None, blk.best_of_b,
+        spec, ks, ms, dist, threshold, s.eps if bound_b else None, best_of_b, s.limit,
         expanding=True,
     )
-    return _assemble(s, kept, best, s.what, prof.target, prof.residue, roots[0][3])
+    return _assemble(s, kept, best, prof.target, prof.residue, roots[0][3])
 
 
 def _line_profile(
@@ -925,9 +913,7 @@ def _df_waves(spec: CycleSpec, angle: float) -> tuple[float, float]:
         return math.nan, math.nan
 
 
-def _df_line_lattice(
-    s: _Search, lattice_k: int, den: int, a: int, b: int
-) -> Callable[[float, _Profile], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _df_line_lattice(s: _Search, lattice_k: int, den: int, a: int, b: int) -> _LineLattice:
     """k = lattice_k*kp; the integer ip puts sigma = k*omega1/2pi - den*ip
     next to s0, and m = m0 + a*kp + b*ip."""
     kp = np.arange(1, s.window.k_max // lattice_k + 1, dtype=np.int64)
@@ -945,7 +931,7 @@ def _df_line_lattice(
     return lattice
 
 
-def _sf_line_block(s: _Search) -> _Line:
+def _sf_line_block(s: _Search) -> PairSequence:
     """SF-2: the line t = -(p/q)*s of the theta relation."""
     spec = s.spec
     pq, pq2 = _theta_relation(s)
@@ -965,10 +951,10 @@ def _sf_line_block(s: _Search) -> _Line:
 
     prof = _Profile(h_line, lambda x: alpha_sf(spec, TWO_PI * x), None,
                     {"q": q, "p": p, "qp": qp, "pp": pp})
-    return _Line([prof], lattice, best_of_b=True)
+    return _line_lattice(s, [prof], lattice, best_of_b=True)
 
 
-def _df_tilted_block(s: _Search) -> _Line:
+def _df_tilted_block(s: _Search) -> PairSequence:
     """DF-2.2: one tilted line per admissible m-residue r2."""
     spec = s.spec
     p1, q1, p2, q2 = _tilted_relation(s)
@@ -987,10 +973,10 @@ def _df_tilted_block(s: _Search) -> _Line:
         ))
     if not profiles:
         raise WindowExhausted("DF-2.2: no admissible m-residue", found=0)
-    return _Line(profiles, _df_line_lattice(s, q2 * q3, q1 * q3, p2 * q3, p1 * q3))
+    return _line_lattice(s, profiles, _df_line_lattice(s, q2 * q3, q1 * q3, p2 * q3, p1 * q3))
 
 
-def _df_line_block(s: _Search) -> _Line:
+def _df_line_block(s: _Search) -> PairSequence:
     """DF-3.3.1: the line of both relations, w moving with s."""
     spec = s.spec
     p1, q1, p2, q2 = _tilted_relation(s)
@@ -1005,10 +991,10 @@ def _df_line_block(s: _Search) -> _Line:
     )
     lattice = _df_line_lattice(s, q2 * pq4.denominator, q1 * pq3.denominator,
                                p2 * pq4.denominator, p1 * pq3.denominator)
-    return _Line([prof], lattice, per_profile=12, w_of=lambda x: frac(a_line * x))
+    return _line_lattice(s, [prof], lattice, per_profile=12, w_of=lambda x: frac(a_line * x))
 
 
-def _df_slice_block(s: _Search) -> _Line:
+def _df_slice_block(s: _Search) -> PairSequence:
     """DF-3.3.2: w is free on the line plane; one profile per horizontal w slice."""
     spec = s.spec
     p1, q1, p2, q2 = _tilted_relation(s)
@@ -1023,8 +1009,8 @@ def _df_slice_block(s: _Search) -> _Line:
         for w in map(float, np.linspace(0.0, 1.0, 41, endpoint=False))
         if quant_margin(spec, TWO_PI * w) > quant_bound(spec.delta)
     ]
-    return _Line(profiles, _df_line_lattice(s, q2, q1, p2, p1), n_scan=2048, per_profile=2,
-                 bound_b=False, floor=s.eps)
+    return _line_lattice(s, profiles, _df_line_lattice(s, q2, q1, p2, p1), n_scan=2048,
+                         per_profile=2, bound_b=False, floor=s.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,8 +1022,8 @@ class CaseInfo:
     """A searched case tag and what the source paper's theorem for that tag
     states; its blenders are those of Bonatti-Diaz (Ann. of Math. 143, 1996).
 
-    `block` builds the search's parameter block from the moduli that the
-    theorem's hypotheses declare, for a `cycle_type` cycle.  `kinds` are
+    `block` runs the search on the parameter block that the theorem's
+    hypotheses declare in the moduli, for a `cycle_type` cycle.  `kinds` are
     the blenders the theorem yields, certified in this order: (None,), one
     on the side the residue band picks (the SF-1 and DF-1 theorems, whose
     residue the pipeline may take from the best `ranks` = 8); ("cs", "cu"),
@@ -1049,7 +1035,7 @@ class CaseInfo:
     omega2 irrational) through the inverse cycle, which is not searched.
     """
 
-    block: Callable[[_Search], _Lattice | _Line]
+    block: Callable[[_Search], PairSequence]
     cycle_type: CycleType
     kinds: tuple[str | None, ...]
     ranks: int
@@ -1105,8 +1091,6 @@ def search_pairs(
     window: SearchWindow | None = None,
     kind: str | None = None,
     min_pairs: int = 1,
-    band: tuple[float, float] | None = None,
-    scan_halfwidth: float = 40.0,
     residue_rank: int = 0,
 ) -> PairSequence:
     """Run the case-specific pair search.
@@ -1117,11 +1101,14 @@ def search_pairs(
     residue-class cases.  The request is checked first, in this order:
     `kind` is cs, cu or None (DomainError); the case has a pair search, its
     tag fits the spec's cycle type, the arithmetic is not mirrored, and the
-    case yields `kind` (NotApplicable).  Only then does an unconstrained
-    search (eps = inf) return the first admissible pairs in the window.
+    case yields `kind` (NotApplicable).
+
+    eps = inf runs the case's own kernel, on the same lattice, side and
+    residue, with no bound on |B_km| or on the torus distance: it keeps the
+    first max(min_pairs, 1) distinct admissible pairs in (k, m) order and
+    evaluates no candidate past them.
     """
-    s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, band,
-                scan_halfwidth, residue_rank)
+    s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, residue_rank)
     if kind not in (None, "cs", "cu"):
         raise DomainError("kind must be 'cs', 'cu', or None")
     info = case_info(case)
@@ -1135,30 +1122,7 @@ def search_pairs(
         )
     if kind is not None and None not in info.kinds and kind not in info.kinds:
         raise NotApplicable(f"{case.value} guarantees only a {info.kinds[0]} band")
-    if math.isinf(eps):
-        return _first_admissible(s)
-    blk = info.block(s)
-    return _line_lattice(s, blk) if isinstance(blk, _Line) else _lattice(s, blk)
-
-
-def _first_admissible(s: _Search) -> PairSequence:
-    """eps = inf: accept the first admissible pairs scanning k, best-m."""
-    spec, window = s.spec, s.window
-    kept: list[_Kept] = []
-    t0 = 0.0
-    if spec.is_saddle_focus:
-        bu = spec.b_coef * spec.u_scalar
-        t0 = math.log(max(abs(bu) / spec.B_coef, 1e-6)) / math.log(abs(spec.gamma))
-    for k in range(max(window.k_min, 1), window.k_max + 1):
-        m = max(int(round(t0 + s.moduli.theta * k)), max(window.m_min, 1))
-        if m > window.m_max:
-            continue
-        rc = coeffs(spec, k, m)
-        if rc.admissible:
-            kept.append((k, m, 0.0, rc))
-            if len(kept) >= max(s.min_pairs, 1):
-                break
-    return _assemble(s, kept, 0.0 if kept else math.inf, f"{s.what} (unconstrained)")
+    return info.block(s)
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,6 @@ def certify(
     pairs: PairSequence,
     overlap_min: float | None = None,
     c: float | None = None,
-    cone_K: float | None = None,
     center: float = 0.0,
 ) -> BlenderCertificate:
     """Build a covering certificate from a pair sequence.
@@ -260,7 +259,8 @@ def certify(
     With c given, coverage is checked at exactly that interval; with c=None
     the largest feasible c <= spec.c_frac is located (geometric descent plus
     bisection refinement) and reported in the certificate.  The default
-    overlap requirement is 0.1*c*delta, re-derived for each candidate c.
+    overlap requirement is 0.1*c*delta, re-derived for each candidate c, and
+    the cone aperture is min(0.1, overlap_min/(4*delta)).
     """
     if not pairs.pairs:
         raise CoverageGap("empty pair set", uncovered=None)
@@ -319,7 +319,6 @@ def certify(
         WitnessEntry(n=i, interval=cover.images[i], overlap=o)
         for i, o in zip(cover.chain, cover.overlaps)
     )
-    K = cone_K if cone_K is not None else min(0.1, omin / (4.0 * delta))
     cube = ActivatingCube(
         x_center=center, x_half=half, delta=delta,
         y_dim=spec.y_dim, z_dim=spec.z_dim,
@@ -335,7 +334,7 @@ def certify(
         delta=delta,
         witness=witness,
         A_band=(lo, hi),
-        cone_K=K,
+        cone_K=min(0.1, omin / (4.0 * delta)),
         activating_cube=cube,
         overlap_min=omin,
         neighborhood_margin=omin / 2.0,
@@ -379,7 +378,7 @@ class DiscRecord:
     ok: bool
     fail_step: int | None
     steps: tuple[int, ...]           # witness indices selected per step
-    step_factors: tuple[float, ...]  # measured |A_n| per step
+    step_factors: tuple[float, ...]  # |A_n| of the pair taken at each step
     note: str = ""
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -437,9 +436,8 @@ def _pull_back(
     strong contraction collapses it to its anchor point, so later steps
     track interval membership of a single X value.  Each step takes the
     first witness of largest containment margin (a NaN margin counts as
-    -inf); a disc whose best margin is negative stops there.  Step factors
-    are measured widths of the raw affine images, i.e. the central
-    multiplier magnitudes.
+    -inf); a disc whose best margin is negative stops there.  A step's
+    factor is |A_n| of the pair taken at that step.
     """
     lo_i, hi_i = cert.interval_I
     extent = cert.overlap_min / 2.0 if x_extent is None else x_extent

@@ -21,6 +21,10 @@ from .diophantine import relation_residual
 from .errors import AmbiguousClassification, DomainError
 
 TWO_PI = 2.0 * math.pi
+#: coefficients that `validate_nondegeneracy` needs nonzero must exceed this
+ZERO_TOL = 1e-12
+#: largest gap between a declared rational modulus and the spec's float value
+CHECK_TOL = 1e-9
 
 #: basis labels for integer-relation declarations, in canonical order
 RELATION_BASIS = ("theta", "omega1", "omega2", "theta_omega2", "one")
@@ -211,7 +215,7 @@ class ValidationReport:
         }
 
 
-def validate_nondegeneracy(spec: CycleSpec, zero_tol: float = 1e-12) -> ValidationReport:
+def validate_nondegeneracy(spec: CycleSpec) -> ValidationReport:
     """Check every coefficient invariant; failures become report entries.
 
     Idempotent and side-effect free: validating twice yields equal reports.
@@ -223,16 +227,16 @@ def validate_nondegeneracy(spec: CycleSpec, zero_tol: float = 1e-12) -> Validati
 
     check("A > 0", spec.A_coef > 0, f"A={spec.A_coef!r}")
     check("B > 0", spec.B_coef > 0, f"B={spec.B_coef!r}")
-    check("b != 0", abs(spec.b_coef) > zero_tol, f"b={spec.b_coef!r}")
+    check("b != 0", abs(spec.b_coef) > ZERO_TOL, f"b={spec.b_coef!r}")
     if spec.is_saddle_focus:
         u_norm = abs(spec.u_scalar)
     else:
         u_norm = math.hypot(*spec.u_pair)
-    check("u- != 0", u_norm > zero_tol, f"|u-|={u_norm!r}")
+    check("u- != 0", u_norm > ZERO_TOL, f"|u-|={u_norm!r}")
     # tan(eta1) != tan(eta2), poles included, is sin(eta1 - eta2) != 0
     check(
         "tan(eta1) != tan(eta2)",
-        abs(math.sin(spec.eta1 - spec.eta2)) > zero_tol,
+        abs(math.sin(spec.eta1 - spec.eta2)) > ZERO_TOL,
         f"sin(eta1-eta2)={math.sin(spec.eta1 - spec.eta2)!r}",
     )
     check("0 < lambda < 1", 0.0 < spec.lam < 1.0, f"lambda={spec.lam!r}")
@@ -419,12 +423,12 @@ def moduli_from_declarations(
     omega2_class: ModulusClass | Mapping[str, int] | str | None = None,
     relations: Sequence[DependenceRelation | Mapping[str, int]] = (),
     flags: Mapping[str, str] | None = None,
-    check_tol: float = 1e-9,
 ) -> Moduli:
     """Build a Moduli record and verify each declaration against the spec.
 
     Declarations are user inputs, never inferred; this only rejects ones
-    that contradict the float coefficients beyond check_tol.
+    that contradict the float coefficients beyond CHECK_TOL (a relation's
+    residual beyond 10*CHECK_TOL).
     """
     th_cls = theta_class if isinstance(theta_class, (RationalClass, str)) else _parse_class(theta_class)
     w1_cls = omega1_class if isinstance(omega1_class, (RationalClass, str)) else _parse_class(omega1_class)
@@ -450,7 +454,7 @@ def moduli_from_declarations(
 
     def check_value(name: str, cls: ModulusClass | None, value: float) -> None:
         if isinstance(cls, RationalClass):
-            if abs(value - cls.num / cls.den) > check_tol:
+            if abs(value - cls.num / cls.den) > CHECK_TOL:
                 raise DomainError(
                     f"declared {name}={cls.num}/{cls.den} but spec gives {value!r}"
                 )
@@ -464,7 +468,7 @@ def moduli_from_declarations(
         missing = rel.support - set(values)
         if missing:
             raise DomainError(f"relation uses undeclared basis entries: {sorted(missing)}")
-        if abs(relation_residual(dict(rel.coeffs), values)) > check_tol * 10:
+        if abs(relation_residual(dict(rel.coeffs), values)) > CHECK_TOL * 10:
             raise DomainError(f"declared relation {dict(rel.coeffs)} fails numerically")
 
     # theta honoring a rational declaration exactly
@@ -493,7 +497,7 @@ def moduli_from_declarations(
     return mod
 
 
-def moduli_from_json(spec: CycleSpec, doc: Mapping[str, Any], check_tol: float = 1e-9) -> Moduli:
+def moduli_from_json(spec: CycleSpec, doc: Mapping[str, Any]) -> Moduli:
     return moduli_from_declarations(
         spec,
         theta_class=_parse_class(doc["theta_class"]),
@@ -501,7 +505,6 @@ def moduli_from_json(spec: CycleSpec, doc: Mapping[str, Any], check_tol: float =
         omega2_class=None if doc.get("omega2_class") is None else _parse_class(doc["omega2_class"]),
         relations=[DependenceRelation(r) for r in doc.get("relations", ())],
         flags=doc.get("flags", {}),
-        check_tol=check_tol,
     )
 
 

@@ -16,7 +16,7 @@ The full model is a cross form: the image (Xb, Yb, Zb) of (X, Y, Z) solves
 The remainders phi vanish asymptotically in the paper model; here they are
 any C^1 functions whose partial derivatives are bounded by phi_bound.  The
 center rates y_rate, z_rate stand for the asymptotically vanishing cross
-terms; they default to small values tied to |A_km| so the model map is
+terms; they are small values tied to |A_km| so the model map is
 invertible at phi = 0 and the cone verdicts are meaningful.  `verify_cones` decides the
 cone families for every such remainder at once, from bounds on the blocks of
 the Jacobian, and reports the largest phi_bound at which they still hold.
@@ -31,7 +31,9 @@ from typing import Any
 from .cycle_model import CycleSpec, CycleType
 from .errors import DomainError, NoImageInCube, PoleError
 
-RATE_SCALE = 0.05  # default center-rate scale relative to min(1, |A_km|)
+RATE_SCALE = 0.05  # center-rate scale relative to min(1, |A_km|)
+#: |cos + b*sin| below which the double-focus wave coefficients have a pole
+POLE_TOL = 1e-14
 #: bisection steps of the largest remainder bound at which the verdicts hold
 RADIUS_STEPS = 60
 
@@ -67,12 +69,12 @@ def df_denominator(spec: CycleSpec, angle: float) -> float:
     return math.cos(angle + spec.eta3) + spec.b_coef * math.sin(angle + spec.eta3)
 
 
-def df_wave_coeffs(spec: CycleSpec, angle: float, pole_tol: float = 1e-14) -> tuple[float, float, float]:
+def df_wave_coeffs(spec: CycleSpec, angle: float) -> tuple[float, float, float]:
     """(A(angle), B(angle), xi(angle)) of the double-focus reduced form."""
     if spec.cycle_type is not CycleType.DOUBLE_FOCUS:
         raise DomainError("wave coefficients are double_focus quantities")
     den = df_denominator(spec, angle)
-    if abs(den) < pole_tol:
+    if abs(den) < POLE_TOL:
         raise PoleError(f"cos + b*sin vanishes at angle={angle!r}")
     u1, u2 = spec.u_pair
     assert spec.eta3 is not None
@@ -155,17 +157,14 @@ def coeffs(spec: CycleSpec, k: int, m: int) -> ReturnCoeffs:
 @dataclass(frozen=True)
 class CrossMapModel:
     """The cross-form map of one (k, m) return: its central coefficients, the
-    Y and Z block sizes, the cube half-width, the bound on every partial
-    derivative of the remainders, and the center rates (0 selects the
-    default tied to |A_km|)."""
+    Y and Z block sizes, the cube half-width and the bound on every partial
+    derivative of the remainders."""
 
     coeffs: ReturnCoeffs
     y_dim: int
     z_dim: int
     delta: float
     phi_bound: float = 0.0
-    y_rate: float = 0.0
-    z_rate: float = 0.0
 
     def __post_init__(self) -> None:
         a_mag = abs(self.coeffs.A_km)
@@ -173,17 +172,28 @@ class CrossMapModel:
             raise DomainError("model requires a nonzero finite A_km")
         if self.y_dim < 1 or self.z_dim < 1:
             raise DomainError("model requires an expanding and a contracting block")
-        if self.y_rate == 0.0:
-            object.__setattr__(self, "y_rate", RATE_SCALE * min(1.0, 1.0 / a_mag))
-        if self.z_rate == 0.0:
-            object.__setattr__(self, "z_rate", RATE_SCALE * min(1.0, a_mag))
         if self.phi_bound > self.phi_guard:
             raise DomainError("phi_bound too large for the center rates")
 
     @property
+    def y_rate(self) -> float:
+        """Center rate of the Y block, RATE_SCALE*min(1, 1/|A_km|)."""
+        return RATE_SCALE * min(1.0, 1.0 / abs(self.coeffs.A_km))
+
+    @property
+    def z_rate(self) -> float:
+        """Center rate of the Z block, RATE_SCALE*min(1, |A_km|)."""
+        return RATE_SCALE * min(1.0, abs(self.coeffs.A_km))
+
+    @property
     def phi_guard(self) -> float:
-        """Largest admissible phi_bound: it keeps |dphi3/dYb| <= y_rate/4, so
-        y_rate*I + dphi3/dYb stays invertible, and |dphi1/dX| <= |A_km|/4."""
+        """Largest admissible phi_bound, 0.25*min(y_rate/y_dim, |A_km|).
+
+        It bounds only the X and Y terms: |dphi3/dYb| <= y_rate/4 keeps
+        y_rate*I + dphi3/dYb invertible, and |dphi1/dX| <= |A_km|/4.  It
+        does not bound the Z block, so the model map may be singular below
+        the guard; `verify_cones`' phi_radius is the statement of the bounds
+        at which the verdicts hold, and it bisects up to the guard."""
         return 0.25 * min(self.y_rate / self.y_dim, abs(self.coeffs.A_km))
 
 

@@ -32,6 +32,8 @@ from .return_map import df_wave_coeffs
 SCALE_FLOOR = 1e-300
 INDEX_CAP = 40_000       # exact-evaluation cap on prefilter survivors
 SOLUTION_CAP = 400       # reported near-solutions
+ZERO_TOL = 1e-9          # sines and denominators below this count as zero
+DISTANCE_TOL = 1e-3      # exclusion distance that `simple_verdict` requires
 
 
 @dataclass(frozen=True)
@@ -423,7 +425,6 @@ def exclusion_sets(
     spec: CycleSpec,
     moduli: Moduli,
     trunc: TruncationRanges | None = None,
-    zero_tol: float = 1e-9,
 ) -> ExclusionReport:
     """Distances of the coefficient ratios to the truncated exclusion sets,
     plus feasibility of the angle offsets at every residue.
@@ -471,13 +472,13 @@ def exclusion_sets(
         pack = _sf_pack(spec, q1, p1)
         s1, s2 = pack["s1"], pack["s2"]
         eta_ok = {
-            "eta1": bool(np.min(np.abs(s1)) > zero_tol),
-            "eta2": bool(np.min(np.abs(s2)) > zero_tol),
+            "eta1": bool(np.min(np.abs(s1)) > ZERO_TOL),
+            "eta2": bool(np.min(np.abs(s2)) > ZERO_TOL),
         }
         ax = pack["a"] * pack["x_plus"]     # = B*sin(. + eta2) / b
         ab = pack["a"] * spec.b_coef        # = A*sin(. + eta1)
         ratio_d: dict[str, float] = {}
-        live = np.flatnonzero((np.abs(s1) > zero_tol) & (np.abs(s2) > zero_tol))
+        live = np.flatnonzero((np.abs(s1) > ZERO_TOL) & (np.abs(s2) > ZERO_TOL))
         for r1 in live:
             factors = _sf_factors(spec.gamma, spec.lam, ax[live] / ax[r1], trunc)
             with np.errstate(divide="ignore"):
@@ -498,14 +499,14 @@ def exclusion_sets(
     rs2 = np.arange(q2) * TWO_PI * p2 / q2
     assert spec.eta3 is not None
     eta_ok = {
-        "eta1": bool(np.min(np.abs(np.sin(rs1 + spec.eta1))) > zero_tol),
-        "eta2": bool(np.min(np.abs(np.sin(rs1 + spec.eta2))) > zero_tol),
+        "eta1": bool(np.min(np.abs(np.sin(rs1 + spec.eta1))) > ZERO_TOL),
+        "eta2": bool(np.min(np.abs(np.sin(rs1 + spec.eta2))) > ZERO_TOL),
         "eta3": bool(
             np.isfinite(pack["c"]).all()
-            and np.min(np.abs(np.cos(rs2 + spec.eta3))) > zero_tol
+            and np.min(np.abs(np.cos(rs2 + spec.eta3))) > ZERO_TOL
         ),
     }
-    first, keys, targets, num, den, den_row = _df_rows(pack, spec.gamma, spec.lam, trunc, zero_tol)
+    first, keys, targets, num, den, den_row = _df_rows(pack, spec.gamma, spec.lam, trunc, ZERO_TOL)
     dists = _df_family_distances(targets, spec.gamma, q_prime, num, den, den_row, trunc.s_max)
     ratio_d = {f"{r1},{r2}->{r1p},{r2p}": d
                for r1, r2, r1p, r2p, d in zip(*(k.tolist() for k in keys), dists.tolist())}
@@ -924,15 +925,15 @@ def brute_scan(
     )
 
 
-def simple_verdict(report: ExclusionReport, distance_tol: float = 1e-3) -> str:
+def simple_verdict(report: ExclusionReport) -> str:
     """"simple_hyperbolic_expected" iff every angle offset is feasible, every
-    exclusion distance clears distance_tol, and the scan (if attached) found
+    exclusion distance clears DISTANCE_TOL, and the scan (if attached) found
     at most index-sharing solutions; never claims blender existence."""
     if not all(report.eta_ok.values()):
         return "inconclusive"
-    if report.min_ratio_distance <= distance_tol:
+    if report.min_ratio_distance <= DISTANCE_TOL:
         return "inconclusive"
-    if report.min_ab_distance <= distance_tol:
+    if report.min_ab_distance <= DISTANCE_TOL:
         return "inconclusive"
     if report.scan is not None and report.scan.verdict == "violation":
         return "inconclusive"

@@ -4,15 +4,11 @@ heterodimensional dynamics.
 
 Window centers and radii follow the residue formulas of the unfolding
 analysis, with the trigonometric factors evaluated at k*omega + eta like
-every other coefficient formula.  One convention is exposed as a flag
-because the source displays disagree between themselves:
-
-* ``orientation``: "literal" places the s-window center at
-  -lambda^k*b^-1*B*sin(.); "matched" flips its sign, which is the unique
-  orientation under which the u- and s-windows share a mu-axis direction,
-  the gap identity below is exact, and the windows can intersect at the
-  pairs produced by the residue search.  The mu-sequence search always uses
-  "matched".
+every other coefficient formula.  The source displays disagree on the sign
+of the s-window center; it is taken "matched", +lambda^k*b^-1*B*sin(.), the
+one orientation under which the u- and s-windows share a mu-axis
+direction, the gap identity of `gap_crosscheck` is exact, and the windows
+can intersect at the pairs produced by the residue search.
 """
 
 from __future__ import annotations
@@ -22,15 +18,17 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .arithmetic import CASES, SearchWindow, check_A1
+from .arithmetic import CASES, SearchWindow, check_A1, residue_tstar
 from .blender_certifier import BlenderCertificate, _pull_back
 from .cycle_model import CaseTag, CycleSpec, Moduli
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
-from .return_map import power_sign, sign_period
+from .return_map import power_sign, power_term, sign_period
 
 log = logging.getLogger(__name__)
 
 EXP_FLOOR = -640.0  # keep gamma^-m and lambda^k comfortably above underflow
+#: pullback depth of the crossings that `homoclinic_report` simulates
+CROSSING_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,10 @@ def window_u(spec: CycleSpec, m: int, q: int) -> MuWindow:
     return MuWindow("u_manifold", m, center, radius)
 
 
-def window_s(
-    spec: CycleSpec,
-    k: int,
-    q: int,
-    orientation: str = "literal",
-) -> MuWindow:
+def window_s(spec: CycleSpec, k: int, q: int) -> MuWindow:
     """Window of mu values for which the pulled-back strong-stable disc
-    crosses the activating cube.  Degenerate residues (vanishing radius
-    factor) are flagged."""
+    crosses the activating cube, centred at lambda^k*b^-1*B*sin(k*omega +
+    eta2).  Degenerate residues (vanishing radius factor) are flagged."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if not spec.is_saddle_focus:
@@ -98,10 +91,6 @@ def window_s(
     s2 = math.sin(angle + spec.eta2)
     s1 = math.sin(angle + spec.eta1)
     center = lam_k / spec.b_coef * spec.B_coef * s2
-    if orientation == "literal":
-        center = -center
-    elif orientation != "matched":
-        raise DomainError("orientation must be 'literal' or 'matched'")
     radius = abs(lam_k * spec.A_coef * s1) * q * spec.delta / 2.0
     return MuWindow("s_manifold", k, center, radius, degenerate=(abs(s1) < 1e-12))
 
@@ -115,10 +104,8 @@ def normalized_gap(spec: CycleSpec, wu: MuWindow, ws: MuWindow, q: int) -> float
 def gap_crosscheck(spec: CycleSpec, k: int, m: int, q: int) -> float:
     """The same gap evaluated through the coefficient identity,
     2|lambda^k gamma^m b^-1 B sin(k omega + eta2) - u^-| / (|b^-1| q delta)."""
-    log_pow = k * math.log(spec.lam) + m * math.log(abs(spec.gamma))
-    power = power_sign(spec, m) * math.exp(log_pow)
-    num = abs(power / spec.b_coef * spec.B_coef * math.sin(k * spec.omega1 + spec.eta2)
-              - spec.u_scalar)
+    s2 = math.sin(k * spec.omega1 + spec.eta2)
+    num = abs(power_term(spec, k, m) / spec.b_coef * spec.B_coef * s2 - spec.u_scalar)
     return 2.0 * num / (q * spec.delta / abs(spec.b_coef))
 
 
@@ -180,8 +167,7 @@ def find_mu_sequence(
 
     theta = moduli.theta
     log_g = math.log(abs(spec.gamma))
-    bu = spec.b_coef * spec.u_scalar
-    t_star = math.log(bu / (spec.B_coef * math.sin(r * spec.omega1 + spec.eta2))) / log_g
+    t_star = residue_tstar(spec, r)
     step = sign_period(spec)
 
     m_cap = int((-EXP_FLOOR - 10.0) / log_g)
@@ -197,13 +183,11 @@ def find_mu_sequence(
         k = r + q * kp
         if k > k_max:
             break
-        if k < window.k_min:
-            continue
         ideal = t_star + theta * k
         m = step * round(ideal / step)
-        if m < max(window.m_min, 1) or m > min(window.m_max, m_cap):
+        if m < 1 or m > min(window.m_max, m_cap):
             continue
-        ws = window_s(spec, k, q, orientation="matched")
+        ws = window_s(spec, k, q)
         if ws.degenerate:
             log.info("skipping degenerate s-window at k=%d", k)
             continue
@@ -300,7 +284,7 @@ def _find_window_hits(
                 if k < 1:
                     continue
                 try:
-                    w = window_s(spec, k, q, orientation="matched")
+                    w = window_s(spec, k, q)
                 except DomainError:
                     continue
                 if not w.degenerate and w.contains(mu):
@@ -312,9 +296,9 @@ def _find_window_hits(
 
 
 def _simulate_crossing(
-    cert: BlenderCertificate, x_offset: float, seed: int, depth: int
+    cert: BlenderCertificate, x_offset: float, seed: int
 ) -> tuple[bool, str]:
-    (rec,) = _pull_back(cert, seed, [0], depth, x_centers=[cert.x_center + x_offset])
+    (rec,) = _pull_back(cert, seed, [0], CROSSING_DEPTH, x_centers=[cert.x_center + x_offset])
     return rec.ok, rec.note
 
 
@@ -325,7 +309,6 @@ def homoclinic_report(
     moduli: Moduli,
     case: CaseTag,
     seed: int = 0,
-    depth: int = 10,
 ) -> RelationReport:
     """Relations among {L1, L2, blenders, auxiliary hyperbolic sets} realized
     at the splitting value mu, per the active case.
@@ -348,7 +331,7 @@ def homoclinic_report(
             if src in blenders and dst in blenders:  # one blender activating the other
                 a, b = blenders[src], blenders[dst]
                 verified, _ = _simulate_crossing(
-                    a, b.x_center - a.x_center, seed if src == "cs" else seed + 1, depth)
+                    a, b.x_center - a.x_center, seed if src == "cs" else seed + 1)
             edges.append(RelationEdge(src, dst, kind, verified, note))
         if not edges:
             raise OutsideWindows(
@@ -369,7 +352,7 @@ def homoclinic_report(
                                   f"u-window at m={hit_u.index}"))
         if cu is not None:
             x_off = (mu - hit_u.center) / hit_u.radius * (q * spec.delta / 2.0)
-            ok, note = _simulate_crossing(cu, x_off, seed, depth)
+            ok, note = _simulate_crossing(cu, x_off, seed)
             edges.append(RelationEdge("L1", "cu", "activates", ok, note))
             edges.append(RelationEdge("cu", "L2", "homoclinic", None,
                                       "stable-set intersection automatic in the cube"))
@@ -378,7 +361,7 @@ def homoclinic_report(
                                   f"s-window at k={hit_s.index}"))
         if cs is not None:
             x_off = (mu - hit_s.center) / hit_s.radius * (q * spec.delta / 2.0)
-            ok, note = _simulate_crossing(cs, x_off, seed + 1, depth)
+            ok, note = _simulate_crossing(cs, x_off, seed + 1)
             edges.append(RelationEdge("L2", "cs", "activates", ok, note))
             edges.append(RelationEdge("cs", "L1", "homoclinic", None,
                                       "unstable-set intersection automatic in the cube"))

@@ -234,3 +234,13 @@ def test_cones_verdicts(doc, eps, capsys):
         return
     assert (payload["k"], payload["m"]) == pair
     assert tuple(payload["cones"][f] for f in CONES_FLAGS) == flags
+
+
+@pytest.mark.parametrize("kind", ["cs", "cu"])
+def test_unbounded_search_pairs_keeps_the_requested_side(kind, capsys):
+    # eps = inf runs the SF-3 band kernel of the requested side
+    config = cli.RunConfig("search-pairs", str(DATA / "sf_3_0.json"), {"eps": "inf", "kind": kind})
+    assert cli.run(config) == 0
+    a_values = json.loads(capsys.readouterr().out)["pairs"]["A_values"]
+    on_side = {"cs": lambda a: abs(a) < 1.0, "cu": lambda a: abs(a) > 1.0}[kind]
+    assert a_values and all(map(on_side, a_values))

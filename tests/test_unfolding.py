@@ -31,17 +31,9 @@ def test_window_s_degenerate_example():
     # sin(k*omega + eta1) = sin(pi) = 0 at k = 2
     spec = window_spec()
     w = bf.window_s(spec, k=2, q=4)
-    assert w.center == pytest.approx(0.25, abs=1e-15)  # -(1/4) sin(3*pi/2)
+    assert w.center == pytest.approx(-0.25, abs=1e-15)  # (1/4) sin(3*pi/2)
     assert w.degenerate
     assert w.radius == pytest.approx(0.0, abs=1e-15)
-
-
-def test_window_orientation_flag():
-    spec = sf_spec()
-    lit = bf.window_s(spec, 5, 4, orientation="literal")
-    mat = bf.window_s(spec, 5, 4, orientation="matched")
-    assert lit.center == pytest.approx(-mat.center, abs=1e-18)
-    assert lit.radius == mat.radius
 
 
 def test_window_domain_errors():

@@ -12,8 +12,10 @@ sampled discs.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from .arithmetic import PairSequence
 from .cycle_model import CycleSpec
 from .errors import BandViolation, CoverageGap, KindMismatch
-from .rng import philox_rng
+from .rng import philox_doubles, philox_rng
 
 BAND_TOL = 1e-9
 AUTO_SHRINK_FACTOR = 0.93
@@ -394,18 +396,83 @@ class DiscRecord:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class DiscColumns:
+    """The discs of one `_pull_back` call as columns: disc j is entry j of
+    each list or array, and row j of `taken`."""
+    indices: list[int]
+    x_extent: float
+    centers: np.ndarray          # X-centers
+    fail_steps: list[int | None]  # step at which the disc stopped; None if it survived
+    notes: list[str]             # why the disc stopped; "" if it survived
+    taken: np.ndarray            # (discs, depth) pair index taken at each step
+    abs_a: np.ndarray            # |A_n| of each pair of the certificate
+
+    @property
+    def survivors(self) -> int:
+        return self.fail_steps.count(None)
+
+    def completed(self) -> np.ndarray:
+        """(discs, depth) mask of the steps each disc completed; `taken` is
+        0 past a failed disc's last completed step."""
+        depth = self.taken.shape[1]
+        done = [depth if f is None else f - 1 for f in self.fail_steps]
+        return np.arange(depth) < np.array(done, dtype=int).reshape(-1, 1)
+
+    def record(self, j: int) -> DiscRecord:
+        fail = self.fail_steps[j]
+        steps = self.taken[j, :self.taken.shape[1] if fail is None else fail - 1]
+        return DiscRecord(
+            index=self.indices[j], x_center=float(self.centers[j]), x_extent=self.x_extent,
+            ok=fail is None, fail_step=fail, steps=tuple(steps.tolist()),
+            step_factors=tuple(self.abs_a[steps].tolist()), note=self.notes[j],
+        )
+
+    def records(self) -> list[DiscRecord]:
+        return [self.record(j) for j in range(len(self.indices))]
+
+
+def _json_number(value: float) -> str:
+    """A number as canonical JSON writes it: a non-finite float as its repr
+    string."""
+    return repr(value) if math.isfinite(value) else f'"{value!r}"'
+
+
 @dataclass(frozen=True)
 class CoveringSimReport:
+    """Summary of a covering simulation, with its discs kept as columns.
+
+    `per_disc` builds the `DiscRecord`s only when a caller reads it.
+    `to_json_text` writes the canonical JSON of `to_json_dict()` straight
+    from the columns: it takes the repr of each pair's |A| and the str of
+    each pair index once, keyed by pair index (not by float value, since
+    0.0 == -0.0 and NaN != NaN), and looks each step up in those tables.
+    """
     n_discs: int
     depth: int
     survivors: int
-    per_disc: tuple[DiscRecord, ...]
     step_factor_min: float
     step_factor_max: float
+    discs: DiscColumns = field(repr=False)
+
+    @classmethod
+    def of(cls, discs: DiscColumns) -> "CoveringSimReport":
+        """The report of a pullback; the step factor range is over every
+        completed step, NaN when no disc completed one."""
+        factors = discs.abs_a[discs.taken[discs.completed()]]
+        lo, hi = (float(factors.min()), float(factors.max())) if factors.size else (math.nan,) * 2
+        return cls(
+            n_discs=len(discs.indices), depth=discs.taken.shape[1], survivors=discs.survivors,
+            step_factor_min=lo, step_factor_max=hi, discs=discs,
+        )
 
     @property
     def all_ok(self) -> bool:
         return self.survivors == self.n_discs
+
+    @cached_property
+    def per_disc(self) -> tuple[DiscRecord, ...]:
+        return tuple(self.discs.records())
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -418,6 +485,40 @@ class CoveringSimReport:
             "per_disc": [d.to_json_dict() for d in self.per_disc],
         }
 
+    def to_json_text(self) -> str:
+        """`cli.canonical_json(self.to_json_dict())`, written from the columns."""
+        d = self.discs
+        depth = d.taken.shape[1]
+        # token tables by pair index + 1; entry 0 is the empty token of a
+        # step the disc did not complete
+        factors = [_json_number(v) for v in d.abs_a.tolist()]
+        steps = [str(n) for n in range(len(factors))]
+        pieces = np.empty((len(d.indices), 2 * depth + 3), dtype=object)
+        if depth:
+            token = np.where(d.completed(), d.taken + 1, 0)
+            for col, table in ((1, factors), (depth + 2, steps)):
+                pieces[:, col] = np.array([""] + table, dtype=object)[token[:, 0]]
+                later = np.array([""] + ["," + t for t in table], dtype=object)
+                pieces[:, col + 1:col + depth] = later[token[:, 1:]]
+        encode = json.encoder.encode_basestring_ascii
+        extent = _json_number(d.x_extent)
+        pieces[:, 0] = [
+            f'{"," if j else ""}{{"fail_step":{"null" if fail is None else fail},'
+            f'"index":{index},"note":{encode(note)},"ok":{"true" if fail is None else "false"},'
+            f'"step_factors":['
+            for j, (index, fail, note) in enumerate(zip(d.indices, d.fail_steps, d.notes))
+        ]
+        pieces[:, depth + 1] = '],"steps":['
+        pieces[:, -1] = [f'],"x_center":{_json_number(x)},"x_extent":{extent}}}'
+                         for x in d.centers.tolist()]
+        return (
+            f'{{"all_ok":{"true" if self.all_ok else "false"},"depth":{self.depth},'
+            f'"n_discs":{self.n_discs},"per_disc":[{"".join(pieces.ravel().tolist())}],'
+            f'"step_factor_max":{_json_number(self.step_factor_max)},'
+            f'"step_factor_min":{_json_number(self.step_factor_min)},'
+            f'"survivors":{self.survivors}}}'
+        )
+
 
 def _pull_back(
     cert: BlenderCertificate,
@@ -426,12 +527,15 @@ def _pull_back(
     depth: int,
     x_centers: Sequence[float] | None = None,
     x_extent: float | None = None,
-) -> list[DiscRecord]:
+) -> DiscColumns:
     """Pull sampled discs through the witness chain to the given depth, all
-    discs of the call at once.
+    discs of the call at once, and return them as columns.
 
-    Disc i draws its X-center (unless `x_centers` fixes it) and its phase
-    from `philox_rng(seed, i)`.  The disc is a graph over the cone block
+    Disc i takes its draws from the stream `philox_rng(seed, i)`, all streams
+    evaluated together by `philox_doubles`.  When the X-center is drawn, it
+    takes the first draw and the phase the second.  When `x_centers` fixes
+    the center, or the disc is wider than I and sits at I's midpoint, the
+    phase takes the first draw.  The disc is a graph over the cone block
     with X-range [center - e/2, center + e/2]; after the first pullback the
     strong contraction collapses it to its anchor point, so later steps
     track interval membership of a single X value.  Each step takes the
@@ -442,31 +546,31 @@ def _pull_back(
     lo_i, hi_i = cert.interval_I
     extent = cert.overlap_min / 2.0 if x_extent is None else x_extent
     amp = pad = extent / 2.0
-    centers, anchors = [], []
-    for j, i in enumerate(indices):
-        rng = philox_rng(seed, i)
-        if x_centers is not None:
-            center = x_centers[j]
-        elif lo_i + pad < hi_i - pad:
-            center = float(rng.uniform(lo_i + pad, hi_i - pad))
-        else:  # disc wider than the interval; center it and let the chain judge
-            center = 0.5 * (lo_i + hi_i)
-        centers.append(center)
-        anchors.append(center + amp * math.sin(float(rng.uniform(0.0, 2.0 * math.pi))))
+    indices = list(indices)
+    first, second = philox_doubles(seed, indices)
+    low, high = lo_i + pad, hi_i - pad
+    if x_centers is not None:
+        centers, phase_u = np.asarray(x_centers, dtype=float), first
+    elif low < high:  # uniform(low, high), then the phase
+        centers, phase_u = low + (high - low) * first, second
+    else:  # disc wider than the interval; center it and let the chain judge
+        centers, phase_u = np.full(len(indices), 0.5 * (lo_i + hi_i)), first
+    # uniform(0, 2*pi); libm's sin, as numpy's SIMD sin may round differently
+    sines = [math.sin(p) for p in ((2.0 * math.pi) * phase_u).tolist()]
+    x_point = centers + amp * np.array(sines, dtype=float)
 
     eff_a, eff_b = cert.effective_maps()
     wit_n = np.array([w.n for w in cert.witness], dtype=int)
     wit_lo = np.array([w.interval[0] for w in cert.witness], dtype=float)
     wit_hi = np.array([w.interval[1] for w in cert.witness], dtype=float)
-    n_discs = len(centers)
+    n_discs = len(indices)
     taken = np.zeros((n_discs, depth), dtype=int)   # witness index per step
     fail_step: list[int | None] = [None] * n_discs
     notes = [""] * n_discs
 
     alive = np.arange(n_discs)
-    x_point = np.asarray(anchors, dtype=float)
-    x_lo = np.asarray(centers, dtype=float) - amp
-    x_hi = np.asarray(centers, dtype=float) + amp
+    x_lo = centers - amp
+    x_hi = centers + amp
     for step in range(1, depth + 1):
         margin = np.minimum(x_lo[:, None] - wit_lo, wit_hi - x_hi[:, None])
         margin[np.isnan(margin)] = -np.inf
@@ -486,17 +590,10 @@ def _pull_back(
         # strong transverse contraction collapses the pulled-back disc
         x_lo = x_hi = x_point
 
-    abs_a = np.abs(np.asarray(cert.A_values, dtype=float))
-    records = []
-    for j, (index, row) in enumerate(zip(indices, taken.tolist())):
-        n_steps = depth if fail_step[j] is None else fail_step[j] - 1
-        steps = row[:n_steps]
-        records.append(DiscRecord(
-            index=index, x_center=centers[j], x_extent=extent, ok=fail_step[j] is None,
-            fail_step=fail_step[j], steps=tuple(steps),
-            step_factors=tuple(abs_a[steps].tolist()), note=notes[j],
-        ))
-    return records
+    return DiscColumns(
+        indices=indices, x_extent=extent, centers=centers, fail_steps=fail_step, notes=notes,
+        taken=taken, abs_a=np.abs(np.asarray(cert.A_values, dtype=float)),
+    )
 
 
 def simulate_covering(
@@ -508,20 +605,11 @@ def simulate_covering(
 ) -> CoveringSimReport:
     """Sample discs crossing the activating cube and run the pullback chain.
 
-    Results are deterministic in (seed, disc index); records come in disc
+    Results are deterministic in (seed, disc index); discs come in disc
     order.
     """
     del spec  # geometry comes from the certificate
-    records = _pull_back(cert, seed, range(n_discs), depth)
-    all_factors = [f for r in records for f in r.step_factors]
-    return CoveringSimReport(
-        n_discs=n_discs,
-        depth=depth,
-        survivors=sum(1 for r in records if r.ok),
-        per_disc=tuple(records),
-        step_factor_min=min(all_factors) if all_factors else math.nan,
-        step_factor_max=max(all_factors) if all_factors else math.nan,
-    )
+    return CoveringSimReport.of(_pull_back(cert, seed, range(n_discs), depth))
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +688,13 @@ def check_activation(
     def direction(src: BlenderCertificate, dst: BlenderCertificate,
                   salt: int) -> tuple[int, str]:
         points = _attractor_points(src, n_discs, philox_rng(seed, salt))
-        records = _pull_back(dst, seed + salt, range(n_discs), depth, x_centers=points)
-        missed = next((r for r in records if not r.ok), None)
+        discs = _pull_back(dst, seed + salt, range(n_discs), depth, x_centers=points)
+        missed = next((j for j, f in enumerate(discs.fail_steps) if f is not None), None)
         diag = "" if missed is None else (
-            f"disc at X={missed.x_center!r} from the {src.blender_kind} set misses the "
-            f"{dst.blender_kind} covering: {missed.note}"
+            f"disc at X={float(discs.centers[missed])!r} from the {src.blender_kind} set "
+            f"misses the {dst.blender_kind} covering: {discs.notes[missed]}"
         )
-        return sum(1 for r in records if r.ok), diag
+        return discs.survivors, diag
 
     a_ok, diag_ab = direction(cert_a, cert_b, salt=1)
     b_ok, diag_ba = direction(cert_b, cert_a, salt=2)

@@ -95,7 +95,40 @@ def _jsonable(obj: Any) -> Any:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """The canonical text json.dumps(_jsonable(obj), sort_keys=True,
+    separators=(",", ":")), in one encoder pass where it can be.
+
+    The pass hands each value json cannot encode to its `to_json_dict`.  A
+    value with `to_json_text` (a simulation report) writes its own text
+    instead: the pass encodes a placeholder string for it, then the text
+    replaces the placeholder.  The pass refuses non-finite floats; then, or
+    when a payload string reads like a placeholder, the `_jsonable` walk
+    runs instead.  Mapping keys in payloads are strings, so the pass needs
+    no key conversion.
+    """
+    texts: list[str] = []
+
+    def hook(value: Any) -> Any:
+        if hasattr(value, "to_json_text"):
+            texts.append(value.to_json_text())
+            return f"\0{len(texts) - 1}\0"
+        if isinstance(value, Mapping):
+            return {str(k): v for k, v in value.items()}
+        if hasattr(value, "to_json_dict"):
+            return value.to_json_dict()
+        raise TypeError(f"cannot serialize {type(value)!r}")
+
+    try:
+        text = json.dumps(obj, default=hook, allow_nan=False, sort_keys=True,
+                          separators=(",", ":"))
+        for i, sub in enumerate(texts):
+            mark = f'"\\u0000{i}\\u0000"'
+            if text.count(mark) != 1:
+                raise ValueError("a payload string reads like a placeholder")
+            text = text.replace(mark, sub)
+        return text
+    except ValueError:
+        return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _emit(config: RunConfig, payload: dict[str, Any]) -> None:

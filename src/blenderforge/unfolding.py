@@ -298,8 +298,8 @@ def _find_window_hits(
 def _simulate_crossing(
     cert: BlenderCertificate, x_offset: float, seed: int
 ) -> tuple[bool, str]:
-    (rec,) = _pull_back(cert, seed, [0], CROSSING_DEPTH, x_centers=[cert.x_center + x_offset])
-    return rec.ok, rec.note
+    discs = _pull_back(cert, seed, [0], CROSSING_DEPTH, x_centers=[cert.x_center + x_offset])
+    return discs.fail_steps[0] is None, discs.notes[0]
 
 
 def homoclinic_report(

@@ -176,7 +176,7 @@ def test_simulation_adversarial_wide_disc():
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
     (rec,) = _pull_back(cert, seed=1, indices=[0], depth=5, x_centers=[0.0],
-                        x_extent=3.0 * cert.c * cert.delta)
+                        x_extent=3.0 * cert.c * cert.delta).records()
     assert not rec.ok
     assert rec.fail_step == 1
     assert "margin" in rec.note
@@ -251,7 +251,8 @@ def reference_disc(cert, index, seed, depth, x_center=None, x_extent=None):
 
 
 def assert_matches_oracle(cert, seed, indices, depth, x_centers=None, x_extent=None):
-    records = _pull_back(cert, seed, indices, depth, x_centers=x_centers, x_extent=x_extent)
+    records = _pull_back(cert, seed, indices, depth, x_centers=x_centers,
+                         x_extent=x_extent).records()
     assert [r.index for r in records] == list(indices)
     for j, (rec, index) in enumerate(zip(records, indices)):
         center = None if x_centers is None else x_centers[j]
@@ -305,6 +306,18 @@ def test_pullback_matches_scalar_oracle_failures():
     # discs wider than I at explicit extents and centers
     assert_matches_oracle(cert, 2, range(5), depth=4, x_centers=[0.0, 0.01, -0.02, 0.03, 0.5],
                           x_extent=3.0 * cert.c * cert.delta)
+
+
+def test_pullback_matches_scalar_oracle_centered_wide_discs():
+    # discs wider than a doctored narrow I sit at its midpoint, so the phase
+    # takes the first draw; inside the middle image they survive step 1, and
+    # the phase then decides each disc's itinerary
+    spec = sf_spec(delta=0.1)
+    cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
+    narrow = doctored(cert, interval_I=["-0.001", "0.001"])
+    records = assert_matches_oracle(narrow, 4, range(20), depth=8)
+    assert {r.x_center for r in records} == {0.0}
+    assert all(r.ok for r in records) and len({r.steps for r in records}) > 1
 
 
 def test_pullback_matches_scalar_oracle_ties():

@@ -10,13 +10,22 @@ the relation 7*theta*omega2 = theta + omega1 + 1.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import blenderforge as bf
 from blenderforge import cli, simple_dynamics
+from blenderforge.arithmetic import PairSequence
+from blenderforge.blender_certifier import BlenderCertificate, CoveringSimReport, _pull_back
 from blenderforge.cycle_model import load_spec_document
+from conftest import sf_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,3 +253,95 @@ def test_unbounded_search_pairs_keeps_the_requested_side(kind, capsys):
     a_values = json.loads(capsys.readouterr().out)["pairs"]["A_values"]
     on_side = {"cs": lambda a: abs(a) < 1.0, "cu": lambda a: abs(a) > 1.0}[kind]
     assert a_values and all(map(on_side, a_values))
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # the draws use numpy core only; numpy.random loads on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, blenderforge.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def reference_json(payload):
+    return json.dumps(cli._jsonable(payload), sort_keys=True, separators=(",", ":"))
+
+
+def five_map_certificate():
+    # five maps x -> x/2 + B whose images of I = [-0.05, 0.05] chain across it
+    spec = sf_spec(delta=0.1)
+    b_values = (-0.04, -0.02, 0.0, 0.02, 0.04)
+    pairs = PairSequence(pairs=tuple((i + 1, 1) for i in range(5)),
+                         target_values=((0.0, 0.0, 0.0),) * 5, A_values=(0.5,) * 5,
+                         B_values=b_values, case=bf.CaseTag.SF_1)
+    return spec, bf.certify(spec, pairs, c=0.5)
+
+
+def test_canonical_json_of_simulation_payload_matches_reference():
+    spec, cert = five_map_certificate()
+    report = bf.simulate_covering(spec, cert, n_discs=40, seed=2, depth=12)
+    payload = {"schema": cli.SCHEMA, "certificates": [cert], "simulations": [report, report]}
+    text = cli.canonical_json(payload)
+    assert text == reference_json(payload)
+    assert json.loads(text)["simulations"][1]["per_disc"][39]["index"] == 39
+
+
+def test_canonical_json_when_every_disc_fails_at_step_one():
+    spec, cert = five_map_certificate()
+    wide = BlenderCertificate.from_json_dict({**cert.to_json_dict(), "overlap_min": 0.5})
+    report = bf.simulate_covering(spec, wide, n_discs=6, seed=0, depth=4)
+    assert report.survivors == 0
+    assert math.isnan(report.step_factor_min) and math.isnan(report.step_factor_max)
+    text = cli.canonical_json({"simulation": report})
+    assert text == reference_json({"simulation": report})
+    assert '"step_factor_min":"nan"' in text
+
+
+def test_canonical_json_of_non_finite_and_negative_zero_centers():
+    _, cert = five_map_certificate()
+    centers = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    discs = _pull_back(cert, 3, range(5), depth=3, x_centers=centers)
+    report = CoveringSimReport.of(discs)
+    text = cli.canonical_json({"simulation": report, "zero": -0.0})
+    assert text == reference_json({"simulation": report, "zero": -0.0})
+    x_centers = [d["x_center"] for d in json.loads(text)["simulation"]["per_disc"]]
+    assert x_centers[:3] == ["nan", "inf", "-inf"]
+    assert '"x_center":-0.0,' in text
+
+
+@pytest.mark.parametrize("n_discs,depth", [(0, 5), (5, 0), (0, 0)])
+def test_canonical_json_of_empty_simulations(n_discs, depth):
+    spec, cert = five_map_certificate()
+    report = bf.simulate_covering(spec, cert, n_discs=n_discs, seed=0, depth=depth)
+    assert cli.canonical_json([report]) == reference_json([report])
+
+
+def test_canonical_json_of_non_ascii_notes():
+    spec, cert = five_map_certificate()
+    report = bf.simulate_covering(spec, cert, n_discs=3, seed=0, depth=2)
+    notes = ["", "δ-Scheibe → \U0001d53b", 'quote " and \\ and \n']
+    odd = CoveringSimReport.of(replace(report.discs, notes=notes, fail_steps=[None, 2, 1]))
+    payload = {"simulation": odd, "note": "café"}
+    assert cli.canonical_json(payload) == reference_json(payload)
+
+
+def test_canonical_json_of_window_exhausted_payload():
+    spec, cert = five_map_certificate()
+    report = bf.simulate_covering(spec, cert, n_discs=4, seed=0, depth=3)
+    error = {"stage": "search", "message": "found 0 pairs", "best_distance": math.inf,
+             "found": 0}
+    payload = {"schema": cli.SCHEMA, "error": error}
+    assert cli.canonical_json(payload) == reference_json(payload)
+    assert '"best_distance":"inf"' in cli.canonical_json(payload)
+    # a non-finite float outside a report, beside the report
+    assert cli.canonical_json({**payload, "simulation": report}) == reference_json(
+        {**payload, "simulation": report})
+
+
+def test_canonical_json_when_a_string_reads_like_a_placeholder():
+    spec, cert = five_map_certificate()
+    report = bf.simulate_covering(spec, cert, n_discs=4, seed=0, depth=3)
+    payload = {"a": "\x000\x00", "simulation": report}
+    assert cli.canonical_json(payload) == reference_json(payload)

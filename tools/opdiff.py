@@ -5,10 +5,12 @@
 For each checkout, a child process imports that checkout's `src/` and
 `perfbench/` (without writing bytecode into it), builds every workload's
 batch of each seed through `workloads.WORKLOADS[name].build` and runs each
-op once through `ops.run_op`.  The report gives each side's count of failed
-ops per workload and seed, then every op whose family, command, exit status,
-error stage or failed reason differs between the sides.  The exit status is
-1 when some op passes on PARENT and fails on CHANGE, else 0.
+op once through `ops.run_op`, keeping the sha256 of the op's output bytes.
+The report gives, per workload and seed, each side's count of failed ops and
+the count of ops whose output bytes differ between the sides.  Then it lists
+every op whose family, command, exit status, error stage or failed reason
+differs.  The exit status is 1 when some op passes on PARENT and fails on
+CHANGE, else 0; differing bytes alone do not change it.
 
 A parent checkout can be made with `git archive HEAD | tar -x -C DIR`.
 """
@@ -16,12 +18,14 @@ A parent checkout can be made with `git archive HEAD | tar -x -C DIR`.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 #: what is compared of each op
 FIELDS = ("family", "command", "status", "stage", "reason")
@@ -54,6 +58,7 @@ def collect(checkout: str, seeds: list[int], out_path: str) -> None:
                         "workload": name, "seed": seed, "op": i, "family": op.family,
                         "command": op.command, "status": result.status, "stage": stage,
                         "failed": result.failed, "reason": result.reason,
+                        "sha256": hashlib.sha256(result.output.encode("utf-8")).hexdigest(),
                     })
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh)
@@ -81,7 +86,8 @@ def _run_sides(parent: str, change: str, seeds: list[int], scratch: str) -> list
 
 
 def compare(parent_ops: list[dict], change_ops: list[dict]) -> int:
-    """Print the failed counts and the differing ops; 1 if an op newly fails."""
+    """Print the failed and byte-differing counts and the differing ops; 1 if
+    an op newly fails."""
     def failed(records: list[dict]) -> dict[tuple[str, int], tuple[int, int]]:
         out: dict[tuple[str, int], tuple[int, int]] = {}
         for r in records:
@@ -89,13 +95,21 @@ def compare(parent_ops: list[dict], change_ops: list[dict]) -> int:
             out[r["workload"], r["seed"]] = (n_failed + r["failed"], n + 1)
         return out
 
+    index = {(r["workload"], r["seed"], r["op"]): r for r in change_ops}
+    bytes_differ: Counter = Counter()
+    for r in parent_ops:
+        c = index.get((r["workload"], r["seed"], r["op"]))
+        if c is not None and c["sha256"] != r["sha256"]:
+            bytes_differ[r["workload"], r["seed"]] += 1
+
     before, after = failed(parent_ops), failed(change_ops)
-    print(f"{'workload':14s} {'seed':>4s}  {'parent failed':>14s}  {'change failed':>14s}")
+    print(f"{'workload':14s} {'seed':>4s}  {'parent failed':>14s}  {'change failed':>14s}"
+          f"  {'bytes differ':>12s}")
     for key in sorted(before.keys() | after.keys()):
         b, a = before.get(key, (0, 0)), after.get(key, (0, 0))
-        print(f"{key[0]:14s} {key[1]:4d}  {b[0]:6d} of {b[1]:5d}  {a[0]:6d} of {a[1]:5d}")
+        print(f"{key[0]:14s} {key[1]:4d}  {b[0]:6d} of {b[1]:5d}  {a[0]:6d} of {a[1]:5d}"
+              f"  {bytes_differ[key]:12d}")
 
-    index = {(r["workload"], r["seed"], r["op"]): r for r in change_ops}
     newly_failed = differ = 0
     for r in parent_ops:
         c = index.pop((r["workload"], r["seed"], r["op"]), None)

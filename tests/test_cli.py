@@ -138,6 +138,18 @@ TABLE_CASES = {
     "cones_df_2_1_1": ("cones", "df_2_1_1", {}),
 }
 
+#: command, document and --set overrides of the goldens of the commands that
+#: emit one kind of record each: the moduli with their rational classes and
+#: dependence relations, the A1 and A2 residue witnesses, and the mu-windows.
+#: check-a2 on df_3_3_1_0 writes 4 MB, so it has no golden
+RECORD_CASES = {
+    "moduli_sf_1_0": ("moduli", "sf_1_0", {}),
+    "moduli_df_3_3_1_0": ("moduli", "df_3_3_1_0", {}),
+    "check_a1_sf_1_0": ("check-a1", "sf_1_0", {}),
+    "check_a2_df_1_2": ("check-a2", "df_1_2", {}),
+    "unfold_sf_1_1": ("unfold", "sf_1_1", {}),
+}
+
 #: exit status of each payload's error stage (None: no error)
 EXIT_STATUS = {None: 0, "load": 1, "run": 1, "search": 2, "certify": 3}
 
@@ -175,6 +187,12 @@ def test_simulation_golden(name, workers, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_case_table_golden(name, tmp_path, capsys):
     command, doc, overrides = TABLE_CASES[name]
+    _run_golden(command, doc, overrides, name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_record_golden(name, tmp_path, capsys):
+    command, doc, overrides = RECORD_CASES[name]
     _run_golden(command, doc, overrides, name, tmp_path, capsys)
 
 

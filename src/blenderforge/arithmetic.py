@@ -97,14 +97,6 @@ class ResidueWitness:
     def band_margin(self) -> float:
         return abs(abs(self.alpha) - 1.0)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "r": self.r,
-            "r2": self.r2,
-            "alpha": self.alpha,
-            "inequalities": dict(self.inequalities),
-        }
-
 
 def _check_angle_pair(q: int, p: int) -> None:
     # q in {1, 2} puts the angle at 0 or pi, outside the open range; p is
@@ -251,14 +243,6 @@ class TorusTarget:
             return cls("plane", {"w_star": frac(w_star)})
         return cls("plane", {"a": a, "b": b})  # type: ignore[dict-item]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "params": dict(self.params),
-            "admissible": self.admissible,
-            "margins": dict(self.margins),
-        }
-
 
 def _wave_margins(spec: CycleSpec, w_star: float) -> dict[str, float]:
     wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
@@ -331,21 +315,6 @@ class PairSequence:
     eps: float = math.nan
     distances: tuple[float, ...] = ()
     best_distance: float = math.nan
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "case": self.case.value,
-            "pairs": [list(p) for p in self.pairs],
-            "target_values": [list(v) for v in self.target_values],
-            "A_values": list(self.A_values),
-            "B_values": list(self.B_values),
-            "target": None if self.target is None else self.target.to_json_dict(),
-            "residue": dict(self.residue),
-            "alpha_ref": self.alpha_ref,
-            "eps": self.eps,
-            "distances": list(self.distances),
-            "best_distance": self.best_distance,
-        }
 
 
 def _torus_point(spec: CycleSpec, theta: float, k: int, m: int) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
@@ -41,11 +41,7 @@ class WitnessEntry:
     overlap: float | None       # with the previous chain entry
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "interval": [repr(self.interval[0]), repr(self.interval[1])],
-            "overlap": self.overlap,
-        }
+        return {**vars(self), "interval": [repr(v) for v in self.interval]}
 
 
 @dataclass(frozen=True)
@@ -55,15 +51,6 @@ class ActivatingCube:
     delta: float
     y_dim: int
     z_dim: int
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "x_center": self.x_center,
-            "x_half": self.x_half,
-            "delta": self.delta,
-            "y_dim": self.y_dim,
-            "z_dim": self.z_dim,
-        }
 
 
 @dataclass(frozen=True)
@@ -92,21 +79,13 @@ class BlenderCertificate:
         return _contracting_maps(self.A_values, self.B_values, self.blender_kind)
 
     def to_json_dict(self) -> dict[str, Any]:
+        """The fields, with I's ends as repr strings; the witness entries and
+        the cube are plain dicts, so `from_json_dict` reads this back."""
         return {
-            "blender_kind": self.blender_kind,
-            "index": self.index,
-            "pair_set": [list(p) for p in self.pair_set],
-            "A_values": list(self.A_values),
-            "B_values": list(self.B_values),
-            "interval_I": [repr(self.interval_I[0]), repr(self.interval_I[1])],
-            "c": self.c,
-            "delta": self.delta,
+            **vars(self),
+            "interval_I": [repr(v) for v in self.interval_I],
             "witness": [w.to_json_dict() for w in self.witness],
-            "A_band": list(self.A_band),
-            "cone_K": self.cone_K,
-            "activating_cube": self.activating_cube.to_json_dict(),
-            "overlap_min": self.overlap_min,
-            "neighborhood_margin": self.neighborhood_margin,
+            "activating_cube": dict(vars(self.activating_cube)),
         }
 
     @classmethod
@@ -383,18 +362,6 @@ class DiscRecord:
     step_factors: tuple[float, ...]  # |A_n| of the pair taken at each step
     note: str = ""
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "x_center": self.x_center,
-            "x_extent": self.x_extent,
-            "ok": self.ok,
-            "fail_step": self.fail_step,
-            "steps": list(self.steps),
-            "step_factors": list(self.step_factors),
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class DiscColumns:
@@ -482,7 +449,7 @@ class CoveringSimReport:
             "all_ok": self.all_ok,
             "step_factor_min": self.step_factor_min,
             "step_factor_max": self.step_factor_max,
-            "per_disc": [d.to_json_dict() for d in self.per_disc],
+            "per_disc": [asdict(d) for d in self.per_disc],
         }
 
     def to_json_text(self) -> str:
@@ -632,17 +599,7 @@ class ActivationReport:
         return self.a_activates_b and self.b_activates_a
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "a_kind": self.a_kind,
-            "b_kind": self.b_kind,
-            "a_activates_b": self.a_activates_b,
-            "b_activates_a": self.b_activates_a,
-            "mutual": self.mutual,
-            "a_to_b_survivors": self.a_to_b_survivors,
-            "b_to_a_survivors": self.b_to_a_survivors,
-            "n_discs": self.n_discs,
-            "diagnostic": self.diagnostic,
-        }
+        return {**vars(self), "mutual": self.mutual}
 
 
 def _attractor_points(

@@ -7,6 +7,12 @@ Every command reads a JSON document holding the coefficient record (and a
 schema tag.  Identical (spec, seed, overrides) inputs produce byte-identical
 output.  `--workers` is accepted for compatibility; every command runs in
 one thread, and the flag changes neither the work done nor the output.
+
+One rule turns a payload record into a JSON object: a record with
+`to_json_dict` writes its own object, and any other dataclass instance is
+the object of its fields, shallowly, with nested records handed on to the
+same rule.  So a record states in `to_json_dict` only where its JSON
+differs from its fields.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Mapping
 
 from . import arithmetic, blender_certifier, cycle_model, return_map, simple_dynamics, unfolding
@@ -76,6 +82,16 @@ class RunConfig:
         return cast(raw)
 
 
+def _record_dict(value: Any) -> dict[str, Any]:
+    """The JSON object of a payload record: its own `to_json_dict`, else the
+    shallow dict of its dataclass fields."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
 def _jsonable(obj: Any) -> Any:
     """Recursively convert to JSON-safe values; non-finite floats become
     strings so canonical emission never depends on allow_nan behavior."""
@@ -89,22 +105,21 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_json_dict"):
-        return _jsonable(obj.to_json_dict())
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return _jsonable(_record_dict(obj))
 
 
 def canonical_json(obj: Any) -> str:
     """The canonical text json.dumps(_jsonable(obj), sort_keys=True,
     separators=(",", ":")), in one encoder pass where it can be.
 
-    The pass hands each value json cannot encode to its `to_json_dict`.  A
-    value with `to_json_text` (a simulation report) writes its own text
-    instead: the pass encodes a placeholder string for it, then the text
-    replaces the placeholder.  The pass refuses non-finite floats; then, or
-    when a payload string reads like a placeholder, the `_jsonable` walk
-    runs instead.  Mapping keys in payloads are strings, so the pass needs
-    no key conversion.
+    The pass hands each value json cannot encode to `_record_dict`: a
+    record's own `to_json_dict`, else the shallow dict of its dataclass
+    fields; anything else raises TypeError.  A value with `to_json_text` (a
+    simulation report) writes its own text instead: the pass encodes a
+    placeholder string for it, then the text replaces the placeholder.  The
+    pass refuses non-finite floats; then, or when a payload string reads
+    like a placeholder, the `_jsonable` walk runs instead.  Mapping keys in
+    payloads are strings, so the pass needs no key conversion.
     """
     texts: list[str] = []
 
@@ -114,9 +129,7 @@ def canonical_json(obj: Any) -> str:
             return f"\0{len(texts) - 1}\0"
         if isinstance(value, Mapping):
             return {str(k): v for k, v in value.items()}
-        if hasattr(value, "to_json_dict"):
-            return value.to_json_dict()
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        return _record_dict(value)
 
     try:
         text = json.dumps(obj, default=hook, allow_nan=False, sort_keys=True,
@@ -185,7 +198,7 @@ def _cmd_check_a1(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
     q = config.knob("q", pq.denominator, int)
     p = config.knob("p", pq.numerator, int)
     wits = arithmetic.check_A1(spec, q, p)
-    return {"witnesses": [w for w in wits], "q": q, "p": p}
+    return {"witnesses": wits, "q": q, "p": p}
 
 
 def _cmd_check_a2(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:
@@ -199,7 +212,7 @@ def _cmd_check_a2(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
         q2=None if f2 is None else f2.denominator,
         p2=None if f2 is None else f2.numerator,
     )
-    return {"witnesses": [w for w in wits]}
+    return {"witnesses": wits}
 
 
 def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag,
@@ -294,7 +307,7 @@ def _cmd_unfold(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> di
         window_count=config.knob("window_count", 5, int),
         window=_window(config),
     )
-    return {"mu_sequence": [p for p in points]}
+    return {"mu_sequence": points}
 
 
 def _cmd_simple_check(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> dict:

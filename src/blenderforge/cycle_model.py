@@ -123,29 +123,9 @@ class CycleSpec:
     # -- JSON --------------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, Any]:
-        u = self.u_minus
-        doc: dict[str, Any] = {
-            "cycle_type": self.cycle_type.value,
-            "lambda": self.lam,
-            "gamma": self.gamma,
-            "omega1": self.omega1,
-            "A_coef": self.A_coef,
-            "B_coef": self.B_coef,
-            "b_coef": self.b_coef,
-            "u_minus": list(u) if isinstance(u, tuple) else u,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "d": self.d,
-            "d1": self.d1,
-            "d2": self.d2,
-            "delta": self.delta,
-            "c_frac": self.c_frac,
-        }
-        if self.omega2 is not None:
-            doc["omega2"] = self.omega2
-        if self.eta3 is not None:
-            doc["eta3"] = self.eta3
-        return doc
+        """The fields, `lam` as "lambda"; omega2 and eta3 only when set."""
+        doc = {k: v for k, v in vars(self).items() if v is not None and k != "lam"}
+        return {**doc, "lambda": self.lam}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, Any]) -> "CycleSpec":
@@ -207,12 +187,7 @@ class ValidationReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "overall": self.overall,
-            "entries": [
-                {"name": e.name, "ok": e.ok, "detail": e.detail} for e in self.entries
-            ],
-        }
+        return {**vars(self), "overall": self.overall}
 
 
 def validate_nondegeneracy(spec: CycleSpec) -> ValidationReport:
@@ -294,9 +269,6 @@ class RationalClass:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def to_json_dict(self) -> dict[str, int]:
-        return {"num": self.num, "den": self.den}
 
 
 ModulusClass = RationalClass | str  # RationalClass or the IRRATIONAL marker
@@ -391,20 +363,18 @@ class Moduli:
         return self.declared_flags.get(_flag_key(keys), UNKNOWN)
 
     def to_json_dict(self) -> dict[str, Any]:
+        """The fields, the IRRATIONAL marker as "irrational" and
+        `declared_flags` as "flags"."""
         def cls_doc(cls: ModulusClass | None) -> Any:
-            if cls is None:
-                return None
-            if isinstance(cls, RationalClass):
-                return cls.to_json_dict()
-            return "irrational"
+            return "irrational" if isinstance(cls, str) else cls
 
         return {
             "theta": self.theta,
             "theta_class": cls_doc(self.theta_class),
             "omega1_class": cls_doc(self.omega1_class),
             "omega2_class": cls_doc(self.omega2_class),
-            "relations": [r.to_json_dict() for r in self.relations],
-            "flags": dict(self.declared_flags),
+            "relations": self.relations,
+            "flags": self.declared_flags,
         }
 
 

@@ -25,7 +25,7 @@ the Jacobian, and reports the largest phi_bound at which they still hold.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 from .cycle_model import CycleSpec, CycleType
@@ -111,13 +111,6 @@ class ReturnCoeffs:
     A_km: float
     B_km: float
     admissible: bool
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "k": self.k, "m": self.m,
-            "A_km": self.A_km, "B_km": self.B_km,
-            "admissible": self.admissible,
-        }
 
 
 def coeffs(spec: CycleSpec, k: int, m: int) -> ReturnCoeffs:
@@ -229,9 +222,6 @@ class ConeReport:
     center_contraction_ok: bool | None
     min_margin: float
     phi_radius: float
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def _aperture(*ratios: tuple[float, float]) -> float:

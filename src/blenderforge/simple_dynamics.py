@@ -26,7 +26,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from .cycle_model import CycleSpec, Moduli, TWO_PI
-from .errors import NotRational
+from .errors import NotRational, PoleError
 from .return_map import df_wave_coeffs
 
 SCALE_FLOOR = 1e-300
@@ -74,7 +74,7 @@ def _df_pack(spec: CycleSpec, q1: int, p1: int, q2: int, p2: int) -> dict[str, n
         w_ang = TWO_PI * r2 * p2 / q2
         try:
             wa, wb, xi = df_wave_coeffs(spec, w_ang)
-        except Exception:
+        except PoleError:
             continue
         c[r2] = xi
         cosv = math.cos(w_ang + spec.eta3)
@@ -369,18 +369,6 @@ class BruteScanResult:
     min_residual: float
     truncated: bool = False
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "ranges": list(self.ranges),
-            "tol": self.tol,
-            "solutions": [dict(s) for s in self.solutions],
-            "n_solutions": self.n_solutions,
-            "verdict": self.verdict,
-            "share_type": self.share_type,
-            "min_residual": self.min_residual,
-            "truncated": self.truncated,
-        }
-
 
 @dataclass(frozen=True)
 class ExclusionReport:
@@ -399,19 +387,8 @@ class ExclusionReport:
         return min(self.ab_memberships.values(), default=math.inf)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "eta_ok": dict(self.eta_ok),
-            "ratio_memberships": dict(self.ratio_memberships),
-            "ab_memberships": dict(self.ab_memberships),
-            "min_ratio_distance": self.min_ratio_distance,
-            "min_ab_distance": self.min_ab_distance,
-            "trunc": {
-                "s_max": self.trunc.s_max,
-                "ell_max": self.trunc.ell_max,
-                "n_max": self.trunc.n_max,
-            },
-            "scan": None if self.scan is None else self.scan.to_json_dict(),
-        }
+        return {**vars(self), "min_ratio_distance": self.min_ratio_distance,
+                "min_ab_distance": self.min_ab_distance}
 
 
 def _require_rational(moduli: Moduli, spec: CycleSpec) -> None:

@@ -50,15 +50,6 @@ class MuWindow:
     def contains(self, mu: float) -> bool:
         return self.lo <= mu <= self.hi
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "center": self.center,
-            "radius": self.radius,
-            "degenerate": self.degenerate,
-        }
-
 
 def window_u(spec: CycleSpec, m: int, q: int) -> MuWindow:
     """Window of mu values re-creating the fragile connection after m turns."""
@@ -118,17 +109,6 @@ class MuPoint:
     window_s: MuWindow
     gap: float
     gap_check: float
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "mu": self.mu,
-            "window_u": self.window_u.to_json_dict(),
-            "window_s": self.window_s.to_json_dict(),
-            "gap": self.gap,
-            "gap_check": self.gap_check,
-        }
 
 
 def find_mu_sequence(
@@ -229,12 +209,6 @@ class RelationEdge:
     verified: bool | None    # None: asserted by the case, not simulated
     note: str = ""
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "src": self.src, "dst": self.dst, "kind": self.kind,
-            "verified": self.verified, "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -245,14 +219,7 @@ class RelationReport:
     window_s_hit: MuWindow | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "mu": self.mu,
-            "case": self.case.value,
-            "nodes": list(NODES),
-            "edges": [e.to_json_dict() for e in self.edges],
-            "window_u_hit": None if self.window_u_hit is None else self.window_u_hit.to_json_dict(),
-            "window_s_hit": None if self.window_s_hit is None else self.window_s_hit.to_json_dict(),
-        }
+        return {**vars(self), "nodes": NODES}
 
 
 def _find_window_hits(

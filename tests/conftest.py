@@ -15,6 +15,7 @@ settings.register_profile(
     max_examples=40,
     deadline=None,
     database=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

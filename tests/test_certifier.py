@@ -257,7 +257,7 @@ def assert_matches_oracle(cert, seed, indices, depth, x_centers=None, x_extent=N
     for j, (rec, index) in enumerate(zip(records, indices)):
         center = None if x_centers is None else x_centers[j]
         expect = reference_disc(cert, index, seed, depth, x_center=center, x_extent=x_extent)
-        assert rec.to_json_dict() == expect.to_json_dict()
+        assert rec == expect
         assert all(type(n) is int for n in rec.steps)
     return records
 

@@ -15,8 +15,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -363,3 +364,48 @@ def test_canonical_json_when_a_string_reads_like_a_placeholder():
     report = bf.simulate_covering(spec, cert, n_discs=4, seed=0, depth=3)
     payload = {"a": "\x000\x00", "simulation": report}
     assert cli.canonical_json(payload) == reference_json(payload)
+
+
+@dataclass(frozen=True)
+class Plain:
+    name: str
+    value: float
+    inner: Any = None
+
+
+@dataclass(frozen=True)
+class Renamed:
+    value: float
+
+    def to_json_dict(self):
+        return {"renamed": self.value}
+
+
+@pytest.mark.parametrize("value", [0.25, math.inf, math.nan])
+def test_canonical_json_of_a_record_without_to_json_dict(value):
+    # a dataclass encodes as its fields, nested records included
+    payload = {"record": Plain("a", value, inner=(Plain("b", -0.0),))}
+    text = cli.canonical_json(payload)
+    assert text == reference_json(payload)
+    number = repr(value) if math.isfinite(value) else f'"{value!r}"'
+    assert text == ('{"record":{"inner":[{"inner":null,"name":"b","value":-0.0}],'
+                    f'"name":"a","value":{number}}}}}')
+
+
+@pytest.mark.parametrize("value", [0.25, math.inf])
+def test_canonical_json_prefers_a_records_own_to_json_dict(value):
+    # the fields would give {"value": ...}
+    payload = [Renamed(value), {"inner": Renamed(2.0)}]
+    text = cli.canonical_json(payload)
+    assert text == reference_json(payload)
+    assert json.loads(text)[0] == {"renamed": value if math.isfinite(value) else repr(value)}
+    assert json.loads(text)[1]["inner"] == {"renamed": 2.0}
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, Plain, b"bytes"])
+def test_canonical_json_rejects_a_value_that_is_no_record(value):
+    for payload in ({"x": value}, {"x": value, "y": math.nan}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.canonical_json(payload)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            reference_json(payload)

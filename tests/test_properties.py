@@ -23,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blenderforge as bf
@@ -207,13 +207,21 @@ def witness_maps(seq, cert):
     return [(seq.A_values[w.n], seq.B_values[w.n]) for w in cert.witness]
 
 
+def has_twin_images(cert):
+    """Whether two distinct maps of the certificate give the same image of
+    the symmetric I, so that `chain_cover`'s tie-break by index picks one."""
+    alpha, beta = cert.effective_maps()
+    images = {(abs(al), be) for al, be in zip(alpha.tolist(), beta.tolist())}
+    return len(images) < len(set(zip(cert.A_values, cert.B_values)))
+
+
 def assert_certify_properties(spec, seq):
     cert = certify_or_none(spec, seq)
     a, b = seq.A_values, seq.B_values
     n = len(a)
 
     # order: a permutation gives the same certificate, up to which of two
-    # equal pairs the witness names
+    # maps with the same image of I the witness names
     perm = [(7 * i + 3) % n for i in range(n)] if n % 7 else list(reversed(range(n)))
     shuffled = with_maps(seq, [a[i] for i in perm], [b[i] for i in perm])
     again = certify_or_none(spec, shuffled)
@@ -221,7 +229,8 @@ def assert_certify_properties(spec, seq):
     if cert is not None:
         assert (again.c, again.A_band, again.overlap_min) == (cert.c, cert.A_band, cert.overlap_min)
         assert [w.interval for w in again.witness] == [w.interval for w in cert.witness]
-        assert witness_maps(shuffled, again) == witness_maps(seq, cert)
+        if not has_twin_images(cert):
+            assert witness_maps(shuffled, again) == witness_maps(seq, cert)
         assert bf.recheck_witness(again)
 
     # monotone: more pairs keep a certificate and never shrink c, at the
@@ -282,6 +291,7 @@ def pair_sets(draw):
 
 @settings(max_examples=25)
 @given(pair_sets())
+@example([(13, False, 0), (21, False, -8), (50, False, 3), (50, True, 3)])
 def test_certify_properties_on_generated_pairs(rows):
     spec = sf_spec(delta=0.1)
     a = [(-1.0 if neg else 1.0) * num / 64 for num, neg, _ in rows]

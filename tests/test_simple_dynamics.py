@@ -365,6 +365,21 @@ def test_df_terms_match_uv():
         np.testing.assert_allclose(t, np.stack((v1, u1, -v2, -u2), axis=1), rtol=1e-13)
 
 
+def test_df_pole_residue_drops_out():
+    # cos(w + eta3) + b*sin(w + eta3) vanishes at the m-residue r2 = 0 when
+    # b = -1 and eta3 = pi/4: that residue has no wave coefficients
+    spec = df_spec(theta=1.0, w1_hat=1 / 3, w2_hat=1 / 5, b=-1.0, eta3=math.pi / 4, delta=5e-5)
+    moduli = bf.moduli_from_declarations(
+        spec, bf.RationalClass(1, 1), bf.RationalClass(1, 3), bf.RationalClass(1, 5)
+    )
+    report = bf.exclusion_sets(spec, moduli)
+    assert report.eta_ok["eta3"] is False
+    assert report.ratio_memberships and report.ab_memberships
+    for key in [*report.ratio_memberships, *report.ab_memberships]:
+        pairs = [side.split(",") for side in key.split("->")]
+        assert all(r2 != "0" for _, r2 in pairs), key
+
+
 def test_df_scan_runs_and_classifies():
     spec = df_spec(theta=1.0, w1_hat=1 / 3, w2_hat=1 / 5, delta=5e-5)
     moduli = bf.moduli_from_declarations(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
@@ -449,7 +449,7 @@ class CoveringSimReport:
             "all_ok": self.all_ok,
             "step_factor_min": self.step_factor_min,
             "step_factor_max": self.step_factor_max,
-            "per_disc": [asdict(d) for d in self.per_disc],
+            "per_disc": self.per_disc,
         }
 
     def to_json_text(self) -> str:

@@ -642,12 +642,12 @@ def _band_aim(
     (sign_c*sin2 > 0), with the crossing t* of each; sin2 = sin(k*omega1 + eta2)."""
     def aim(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ang = ks * spec.omega1
-        s1 = np.sin(ang + spec.eta1)
         s2 = np.sin(ang + spec.eta2)
+        sign = np.flatnonzero((sign_c * s2 > 0.0) & (np.abs(s2) > ZERO_TOL))
+        ks, ang, s2 = ks[sign], ang[sign], s2[sign]
         with np.errstate(divide="ignore", invalid="ignore"):
-            alphas = num * s1 / (den * s2)
-        good = (sign_c * s2 > 0.0) & (np.abs(alphas) >= lo) & (np.abs(alphas) <= hi)
-        good &= np.abs(s2) > ZERO_TOL
+            alphas = np.abs(num * np.sin(ang + spec.eta1) / (den * s2))
+        good = (alphas >= lo) & (alphas <= hi)
         return ks[good], np.log(c / (den * s2[good])) / log_gamma
     return aim
 

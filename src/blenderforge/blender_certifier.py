@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .rng import philox_doubles, philox_rng
 BAND_TOL = 1e-9
 AUTO_SHRINK_FACTOR = 0.93
 AUTO_SHRINK_FLOOR = 1e-9
+#: most images (pairs x grid values) that one `_chain_mask` pass holds
+MASK_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +188,6 @@ def chain_cover(
             return chain, overlaps
 
 
-def union_covers(
-    images: Sequence[tuple[float, float]], left: float, right: float
-) -> bool:
-    """Exact union sweep: do the closed images cover [left, right]?"""
-    reach = left
-    for lo, hi in sorted(images):
-        if lo > reach:
-            return False
-        reach = max(reach, hi)
-        if reach >= right:
-            return True
-    return reach >= right
-
-
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -228,6 +216,78 @@ class _Cover(NamedTuple):
     overlap_min: float
 
 
+def _cover_frame(
+    c: float | np.ndarray, delta: float, overlap_min: float | None, eff_min: float,
+    center: float,
+) -> tuple:
+    """(half, omin, left, right) of the cover test at c, a float or an array
+    of them: I's half-width c*delta, the overlap requirement, and the ends
+    of the neighbourhood [center - half - omin/2, center + half + omin/2]
+    that the chain must cover."""
+    half = c * delta
+    omin = half * min(0.1, eff_min) if overlap_min is None else overlap_min
+    nu = omin / 2.0
+    return half, omin, center - half - nu, center + half + nu
+
+
+def _c_grid(c_frac: float) -> tuple[float, ...]:
+    """The descent's c values: c_frac times AUTO_SHRINK_FACTOR, repeatedly,
+    while above AUTO_SHRINK_FLOOR (277 values from 0.5)."""
+    grid = []
+    c_try = c_frac
+    while c_try > AUTO_SHRINK_FLOOR:
+        grid.append(c_try)
+        c_try *= AUTO_SHRINK_FACTOR
+    return tuple(grid)
+
+
+def _chain_mask(
+    eff_a: np.ndarray, eff_b: np.ndarray, cs: np.ndarray, delta: float,
+    overlap_min: float | None, eff_min: float, center: float,
+) -> np.ndarray:
+    """For each c of `cs`, False where no covering chain can exist.
+
+    Row j holds the images of I and the ends of the neighbourhood at cs[j],
+    the same floats as the cover test at that c.  Sorted by low end, image
+    i passes when lo_i <= left, or lo_i <= before_i - omin, or before_i >=
+    right, where before_i is the largest high end of the images sorted
+    before it.  A c passes when every image does and some high end reaches
+    right, or when an image end is NaN.
+    """
+    half, omin, left, right = _cover_frame(cs, delta, overlap_min, eff_min, center)
+    e1 = eff_a * (center - half)[:, None] + eff_b
+    e2 = eff_a * (center + half)[:, None] + eff_b
+    lo = np.minimum(e1, e2)
+    order = np.argsort(lo, axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(np.maximum(e1, e2), order, axis=1)
+    reach = np.maximum.accumulate(hi, axis=1)
+    before = np.empty_like(reach)
+    before[:, 0] = -np.inf
+    before[:, 1:] = reach[:, :-1]
+    passes = (
+        (lo <= left[:, None]) | (lo <= before - np.reshape(omin, (-1, 1)))
+        | (before >= right[:, None])
+    )
+    return (passes.all(axis=1) & (reach[:, -1] >= right)) | np.isnan(lo).any(axis=1)
+
+
+def _masked_grid(
+    eff_a: np.ndarray, eff_b: np.ndarray, c_frac: float, delta: float,
+    overlap_min: float | None, eff_min: float, center: float,
+) -> Iterator[float]:
+    """The grid values `_chain_mask` keeps, in grid order.  The mask is taken
+    on a block of grid values at a time, at most MASK_CELLS images, so a
+    large pair set needs no pairs x 277 arrays, and the blocks after the
+    first chained c are never computed."""
+    grid = _c_grid(c_frac)
+    rows = max(1, MASK_CELLS // len(eff_a))
+    for start in range(0, len(grid), rows):
+        block = grid[start:start + rows]
+        mask = _chain_mask(eff_a, eff_b, np.array(block), delta, overlap_min, eff_min, center)
+        yield from (c for c, ok in zip(block, mask.tolist()) if ok)
+
+
 def certify(
     spec: CycleSpec,
     pairs: PairSequence,
@@ -238,10 +298,38 @@ def certify(
     """Build a covering certificate from a pair sequence.
 
     With c given, coverage is checked at exactly that interval; with c=None
-    the largest feasible c <= spec.c_frac is located (geometric descent plus
-    bisection refinement) and reported in the certificate.  The default
-    overlap requirement is 0.1*c*delta, re-derived for each candidate c, and
-    the cone aperture is min(0.1, overlap_min/(4*delta)).
+    the largest feasible c <= spec.c_frac is located as below and reported
+    in the certificate.  The default overlap requirement is 0.1*c*delta,
+    re-derived for each candidate c, and the cone aperture is min(0.1,
+    overlap_min/(4*delta)).
+
+    The search steps down the grid c_frac * AUTO_SHRINK_FACTOR**j (each
+    value the float of repeated multiplication) while c > AUTO_SHRINK_FLOOR,
+    and takes the first c at which `chain_cover` finds a chain.  It does not
+    walk a chain at every grid value: an array pass (`_chain_mask`) over
+    all pairs and grid values first rules out the c at which no chain can
+    exist, and `chain_cover` runs only on the others, in grid order
+    (`_masked_grid`, which takes the mask a block of grid values at a time
+    for a large pair set).  When the mask rules out every c, no chain is
+    walked at all.
+
+    The mask never rules out a c at which `chain_cover` finds a chain, so
+    the c found, and the certificate, are those of the walk over every grid
+    value.  Take the chain j_1, ..., j_L that `chain_cover` returns: lo_j1
+    <= left, lo_j(t+1) <= fl(hi_jt - omin), the high ends strictly
+    increase and hi_jL >= right.  So some high end reaches right.  Take any
+    image i sorted by low end, and before_i the largest high end of the
+    images sorted before it.  If before_i >= right, i passes.  Otherwise let
+    j be the first link with hi_j > before_i; j is not sorted before i, so
+    lo_i <= lo_j.  If j is the first link, lo_i <= lo_j <= left.  Else the
+    previous link has hi_prev <= before_i, and since rounding is monotone,
+    lo_i <= lo_j <= fl(hi_prev - omin) <= fl(before_i - omin).  Either way
+    i passes, and no tolerance is needed, as the mask compares the very
+    floats `chain_cover` compares.  At overlap 0 the mask is the exact
+    union sweep, so there every c it keeps chains.
+
+    From the first c with a chain, 50 bisection steps refine c upward in
+    [c, min(c_frac, c/AUTO_SHRINK_FACTOR)], keeping the last c that chains.
     """
     if not pairs.pairs:
         raise CoverageGap("empty pair set", uncovered=None)
@@ -253,11 +341,9 @@ def certify(
     delta = spec.delta
 
     def attempt(c_try: float) -> _Cover:
-        half = c_try * delta
-        omin = c_try * delta * min(0.1, eff_min) if overlap_min is None else overlap_min
-        nu = omin / 2.0
+        half, omin, left, right = _cover_frame(c_try, delta, overlap_min, eff_min, center)
         images = _affine_images(eff_a, eff_b, center - half, center + half)
-        chain, found = chain_cover(images, center - half - nu, center + half + nu, omin)
+        chain, found = chain_cover(images, left, right, omin)
         if chain is None:
             return _Cover(images, None, [], found, omin)
         return _Cover(images, chain, found, None, omin)
@@ -271,13 +357,11 @@ def certify(
             )
         c_used = c
     else:
-        c_try = spec.c_frac
         cover = None
-        while c_try > AUTO_SHRINK_FLOOR:
+        for c_try in _masked_grid(eff_a, eff_b, spec.c_frac, delta, overlap_min, eff_min, center):
             cover = attempt(c_try)
             if cover.chain is not None:
                 break
-            c_try *= AUTO_SHRINK_FACTOR
         if cover is None or cover.chain is None:
             raise CoverageGap(
                 "no interval size admits a covering chain", uncovered=None

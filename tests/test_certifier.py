@@ -1,17 +1,28 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import blenderforge as bf
+from blenderforge import arithmetic, blender_certifier
 from blenderforge.arithmetic import PairSequence
 from blenderforge.blender_certifier import (
+    AUTO_SHRINK_FACTOR,
+    AUTO_SHRINK_FLOOR,
     BlenderCertificate,
     DiscRecord,
+    _affine_images,
     _attractor_points,
+    _c_grid,
+    _chain_mask,
+    _contracting_maps,
+    _cover_frame,
+    _masked_grid,
     _pull_back,
     chain_cover,
-    union_covers,
 )
 from blenderforge.rng import philox_rng
 from conftest import sf_spec
@@ -27,6 +38,18 @@ def synthetic_sequence(a_values, b_values, case=bf.CaseTag.SF_1):
         B_values=tuple(b_values),
         case=case,
     )
+
+
+def union_covers(images, left, right):
+    """Exact union sweep: do the closed images cover [left, right]?"""
+    reach = left
+    for lo, hi in sorted(images):
+        if lo > reach:
+            return False
+        reach = max(reach, hi)
+        if reach >= right:
+            return True
+    return reach >= right
 
 
 FIVE_B = (-0.04, -0.02, 0.0, 0.02, 0.04)
@@ -149,6 +172,242 @@ def test_chain_cover_matches_reachability_oracle():
                             feasible = True
             frontier = nxt
         assert (chain is not None) == feasible
+
+
+# ---------------------------------------------------------------------------
+# c descent
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def certify_at(spec, seq, c, overlap_min=None, center=0.0):
+    """The certificate at exactly c, or None when no chain covers there."""
+    try:
+        return bf.certify(spec, seq, overlap_min=overlap_min, c=c, center=center)
+    except bf.CoverageGap:
+        return None
+
+
+def sequential_certify(spec, seq, overlap_min=None, center=0.0):
+    """The c descent as a walk over every grid value: the first c of the
+    x AUTO_SHRINK_FACTOR grid at which a chain exists, refined by 50
+    bisection steps, and the certificate at the c so found."""
+    def cert_at(c):
+        return certify_at(spec, seq, c, overlap_min, center)
+
+    c_try = spec.c_frac
+    while c_try > AUTO_SHRINK_FLOOR:
+        if cert_at(c_try) is not None:
+            break
+        c_try *= AUTO_SHRINK_FACTOR
+    else:
+        raise bf.CoverageGap("no interval size admits a covering chain", uncovered=None)
+    c_lo, c_hi = c_try, min(spec.c_frac, c_try / AUTO_SHRINK_FACTOR)
+    for _ in range(50):
+        mid = 0.5 * (c_lo + c_hi)
+        if cert_at(mid) is not None:
+            c_lo = mid
+        else:
+            c_hi = mid
+    return cert_at(c_lo)
+
+
+def outcome(certify, spec, seq, **kw):
+    try:
+        return certify(spec, seq, **kw)
+    except bf.CoverageGap as err:
+        return "gap", str(err), err.uncovered
+    except bf.BandViolation as err:
+        return "band", str(err)
+
+
+def assert_descent_matches_oracle(spec, seq, **kw):
+    got = outcome(bf.certify, spec, seq, **kw)
+    assert got == outcome(sequential_certify, spec, seq, **kw)
+    return got
+
+
+def searched_docs():
+    """The `tests/data/` documents of a searched case tag."""
+    for path in sorted(DATA.glob("*.json")):
+        spec, moduli = bf.load_spec_document(str(path))
+        if bf.classify_case(moduli, spec) in arithmetic.CASES:
+            yield path.name
+
+
+@pytest.mark.parametrize("doc", list(searched_docs()))
+def test_descent_matches_sequential_oracle_on_searched_pairs(doc):
+    spec, moduli = bf.load_spec_document(str(DATA / doc))
+    tag = bf.classify_case(moduli, spec)
+    searched = 0
+    for kind in arithmetic.CASES[tag].kinds:
+        for eps in (1e-3, 1e-2):
+            try:
+                seq = bf.search_pairs(spec, moduli, tag, eps=eps, kind=kind)
+            except bf.WindowExhausted:
+                continue
+            searched += 1
+            assert_descent_matches_oracle(spec, seq)
+    if not searched:
+        pytest.skip("no search keeps a pair")
+
+
+@st.composite
+def tie_sets(draw):
+    """(delta, den, rows, overlap_min, center) with rows (64|A|, sign of A,
+    j) and B = j*delta/den.  With delta and den powers of two every image
+    end at c = c_frac is exact, so ends meet left, and overlaps meet omin,
+    exactly; with den = 400 equal images repeat exactly."""
+    delta, den = draw(st.sampled_from([(0.1, 400), (0.125, 64), (0.125, 256)]))
+    lo, hi = draw(st.sampled_from([(13, 54), (70, 320)]))
+    row = st.tuples(st.integers(lo, hi), st.booleans(), st.integers(-30, 30))
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    step = delta / den
+    overlap = draw(st.sampled_from([None, 0.0, step, 2 * step, 4 * step]))
+    center = draw(st.sampled_from([0.0, step, -3 * step, 0.0123]))
+    return delta, den, rows, overlap, center
+
+
+def tie_sequence(delta, den, rows):
+    a = [(-1.0 if neg else 1.0) * num / 64 for num, neg, _ in rows]
+    b = [j * delta / den for _, _, j in rows]
+    return sf_spec(delta=delta), synthetic_sequence(a, b)
+
+
+def contracting(seq):
+    """(eff_a, eff_b, eff_min) of the sequence's band, as `certify` takes them."""
+    kind, lo, hi = blender_certifier._band(seq.A_values)
+    eff_a, eff_b = _contracting_maps(seq.A_values, seq.B_values, kind)
+    return eff_a, eff_b, lo if kind == "cs" else 1.0 / hi
+
+
+def mask_of(spec, seq, cs, overlap_min=None, center=0.0):
+    eff_a, eff_b, eff_min = contracting(seq)
+    return _chain_mask(eff_a, eff_b, np.asarray(cs, dtype=float), spec.delta, overlap_min,
+                       eff_min, center).tolist()
+
+
+@settings(max_examples=25)
+@given(tie_sets())
+@example((0.1, 400, [(13, False, 0), (21, False, -8), (50, False, 3), (50, True, 3)], None,
+          0.0))
+def test_descent_matches_sequential_oracle_on_generated_pairs(case):
+    delta, den, rows, overlap, center = case
+    spec, seq = tie_sequence(delta, den, rows)
+    assert_descent_matches_oracle(spec, seq, overlap_min=overlap, center=center)
+
+
+@settings(max_examples=15)
+@given(tie_sets())
+def test_mask_keeps_every_grid_c_that_chains(case):
+    delta, den, rows, overlap, center = case
+    spec, seq = tie_sequence(delta, den, rows)
+    grid = _c_grid(spec.c_frac)
+    mask = mask_of(spec, seq, grid, overlap, center)
+    for c, kept in zip(grid, mask):
+        assert kept or certify_at(spec, seq, c, overlap, center) is None
+
+
+def exact_tie_chain(shift=0.0, extra=()):
+    """Three maps x -> x/2 + B at delta = 1/8, c = 1/2 and overlap 1/64: the
+    first image starts exactly at left, each next one overlaps the last by
+    exactly 1/64, and the third ends past right; `shift` moves the third,
+    and `extra` adds maps with these B."""
+    spec = sf_spec(delta=0.125)
+    half, omin, left, right = _cover_frame(0.5, spec.delta, 2.0 ** -6, 0.5, 0.0)
+    width = 0.5 * half                   # half-width of each image
+    b1 = left + width
+    b2 = (b1 + width - omin) + width
+    b3 = (b2 + width - omin) + width + shift
+    seq = synthetic_sequence([0.5] * (3 + len(extra)), [b1, b2, b3, *extra])
+    images = _affine_images(*_contracting_maps(seq.A_values, seq.B_values, "cs"), -half, half)
+    return spec, seq, images, omin, left, right
+
+
+def test_mask_keeps_a_chain_of_exact_ties():
+    spec, seq, images, omin, left, right = exact_tie_chain()
+    assert images[0][0] == left
+    assert images[1][0] == images[0][1] - omin and images[2][0] == images[1][1] - omin
+    assert images[2][1] >= right
+    assert chain_cover(images, left, right, omin)[0] == [0, 1, 2]
+    assert mask_of(spec, seq, [0.5], overlap_min=omin) == [True]
+    # one step short of the overlap, no chain exists and the mask says so
+    spec, seq, images, omin, left, right = exact_tie_chain(shift=2.0 ** -30)
+    assert chain_cover(images, left, right, omin)[0] is None
+    assert mask_of(spec, seq, [0.5], overlap_min=omin) == [False]
+    # the last link ends exactly at right, alone or with an image past right
+    for extra in ([], [0.5]):
+        spec, seq, images, omin, left, right = exact_tie_chain(-2.0 ** -6, extra)
+        assert images[2][1] == right and all(lo > right for lo, _ in images[3:])
+        assert chain_cover(images, left, right, omin)[0] == [0, 1, 2]
+        assert mask_of(spec, seq, [0.5], overlap_min=omin) == [True]
+
+
+@settings(max_examples=15)
+@given(tie_sets())
+def test_mask_at_overlap_zero_is_the_union_sweep(case):
+    delta, den, rows, _, center = case
+    spec, seq = tie_sequence(delta, den, rows)
+    eff_a, eff_b, eff_min = contracting(seq)
+    grid = _c_grid(spec.c_frac)
+    for c, kept in zip(grid, mask_of(spec, seq, grid, 0.0, center)):
+        half, _, left, right = _cover_frame(c, spec.delta, 0.0, eff_min, center)
+        images = _affine_images(eff_a, eff_b, center - half, center + half)
+        assert kept == union_covers(images, left, right)
+
+
+@pytest.mark.parametrize("nan_at", [0, 2, 5])
+def test_descent_matches_sequential_oracle_with_a_nan_map(nan_at):
+    # a NaN image end passes the mask, so the walk decides as before
+    b = list(FIVE_B)
+    b.insert(nan_at, math.nan)
+    seq = synthetic_sequence([0.5] * 6, b)
+    assert isinstance(assert_descent_matches_oracle(sf_spec(delta=0.1), seq), BlenderCertificate)
+
+
+def test_grid_is_the_repeated_shrink():
+    grid = _c_grid(0.5)
+    assert len(grid) == 277 and grid[0] == 0.5 and grid[-1] > AUTO_SHRINK_FLOOR
+    c = 0.5
+    for value in grid:
+        assert value == c
+        c *= AUTO_SHRINK_FACTOR
+    assert c <= AUTO_SHRINK_FLOOR
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_masked_grid_in_blocks_is_the_one_pass_mask(monkeypatch, cells):
+    spec = sf_spec(delta=0.1)
+    sets = [([0.5] * 5, FIVE_B), ([0.5, 0.5], [0.0, 0.001]),
+            ([0.3, -0.45, 0.6, 0.5], [-0.03, 0.0, 0.01, 0.035]), ([2.0, 2.5, 1.7], FIVE_B[:3])]
+    grid = _c_grid(spec.c_frac)
+    expected = []
+    for a, b in sets:
+        mask = mask_of(spec, synthetic_sequence(a, b), grid)
+        expected.append([c for c, ok in zip(grid, mask) if ok])
+    monkeypatch.setattr(blender_certifier, "MASK_CELLS", cells)
+    for (a, b), kept in zip(sets, expected):
+        seq = synthetic_sequence(a, b)
+        eff_a, eff_b, eff_min = contracting(seq)
+        assert list(_masked_grid(eff_a, eff_b, spec.c_frac, spec.delta, None, eff_min, 0.0)) == kept
+        assert_descent_matches_oracle(spec, seq)
+
+
+def test_uncoverable_pair_set_walks_no_chain(monkeypatch):
+    calls = []
+    real = blender_certifier.chain_cover
+    monkeypatch.setattr(blender_certifier, "chain_cover",
+                        lambda *args: calls.append(1) or real(*args))
+    spec = sf_spec(delta=0.1)
+    with pytest.raises(bf.CoverageGap, match="no interval size admits a covering chain"):
+        bf.certify(spec, synthetic_sequence([0.5, 0.5], [0.0, 0.001]))
+    assert calls == []
+    # a pair set that covers walks chains only at the first chained grid c
+    # and in the bisection
+    cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B))
+    assert len(calls) == 1 + 50
+    assert bf.recheck_witness(cert)
 
 
 # ---------------------------------------------------------------------------

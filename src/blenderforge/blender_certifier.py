@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator, NamedTuple, Sequence
 
@@ -154,11 +154,12 @@ def chain_cover(
 
     The greedy step (max right endpoint among candidates reaching back by
     overlap_min) reaches at least as far as any feasible chain, so failure
-    here means no chain exists.
+    here means no chain exists.  Each chosen image raises `reach` to its own
+    high end, so a used image has hi <= reach and never passes `hi > reach`;
+    no image is chosen twice.
     """
     order = sorted(range(len(images)), key=lambda i: (images[i][0], -images[i][1]))
     chain: list[int] = []
-    used: set[int] = set()
     overlaps: list[float | None] = []
     reach = left
     prev_right: float | None = None
@@ -169,8 +170,6 @@ def chain_cover(
             lo, hi = images[i]
             if lo > bound:
                 break
-            if i in used:
-                continue
             if best is None or hi > images[best][1] or (
                 hi == images[best][1] and lo < images[best][0]
             ):
@@ -181,7 +180,6 @@ def chain_cover(
         lo, hi = images[best]
         overlaps.append(None if prev_right is None else prev_right - lo)
         chain.append(best)
-        used.add(best)
         prev_right = hi
         reach = hi
         if reach >= right:
@@ -217,17 +215,16 @@ class _Cover(NamedTuple):
 
 
 def _cover_frame(
-    c: float | np.ndarray, delta: float, overlap_min: float | None, eff_min: float,
-    center: float,
+    c: float | np.ndarray, delta: float, overlap_min: float | None, eff_min: float
 ) -> tuple:
     """(half, omin, left, right) of the cover test at c, a float or an array
     of them: I's half-width c*delta, the overlap requirement, and the ends
-    of the neighbourhood [center - half - omin/2, center + half + omin/2]
-    that the chain must cover."""
+    of the neighbourhood [-half - omin/2, half + omin/2] that the chain must
+    cover."""
     half = c * delta
     omin = half * min(0.1, eff_min) if overlap_min is None else overlap_min
     nu = omin / 2.0
-    return half, omin, center - half - nu, center + half + nu
+    return half, omin, -half - nu, half + nu
 
 
 def _c_grid(c_frac: float) -> tuple[float, ...]:
@@ -243,7 +240,7 @@ def _c_grid(c_frac: float) -> tuple[float, ...]:
 
 def _chain_mask(
     eff_a: np.ndarray, eff_b: np.ndarray, cs: np.ndarray, delta: float,
-    overlap_min: float | None, eff_min: float, center: float,
+    overlap_min: float | None, eff_min: float,
 ) -> np.ndarray:
     """For each c of `cs`, False where no covering chain can exist.
 
@@ -254,9 +251,9 @@ def _chain_mask(
     before it.  A c passes when every image does and some high end reaches
     right, or when an image end is NaN.
     """
-    half, omin, left, right = _cover_frame(cs, delta, overlap_min, eff_min, center)
-    e1 = eff_a * (center - half)[:, None] + eff_b
-    e2 = eff_a * (center + half)[:, None] + eff_b
+    half, omin, left, right = _cover_frame(cs, delta, overlap_min, eff_min)
+    e1 = eff_a * -half[:, None] + eff_b
+    e2 = eff_a * half[:, None] + eff_b
     lo = np.minimum(e1, e2)
     order = np.argsort(lo, axis=1)
     lo = np.take_along_axis(lo, order, axis=1)
@@ -274,7 +271,7 @@ def _chain_mask(
 
 def _masked_grid(
     eff_a: np.ndarray, eff_b: np.ndarray, c_frac: float, delta: float,
-    overlap_min: float | None, eff_min: float, center: float,
+    overlap_min: float | None, eff_min: float,
 ) -> Iterator[float]:
     """The grid values `_chain_mask` keeps, in grid order.  The mask is taken
     on a block of grid values at a time, at most MASK_CELLS images, so a
@@ -284,7 +281,7 @@ def _masked_grid(
     rows = max(1, MASK_CELLS // len(eff_a))
     for start in range(0, len(grid), rows):
         block = grid[start:start + rows]
-        mask = _chain_mask(eff_a, eff_b, np.array(block), delta, overlap_min, eff_min, center)
+        mask = _chain_mask(eff_a, eff_b, np.array(block), delta, overlap_min, eff_min)
         yield from (c for c, ok in zip(block, mask.tolist()) if ok)
 
 
@@ -293,7 +290,6 @@ def certify(
     pairs: PairSequence,
     overlap_min: float | None = None,
     c: float | None = None,
-    center: float = 0.0,
 ) -> BlenderCertificate:
     """Build a covering certificate from a pair sequence.
 
@@ -341,8 +337,8 @@ def certify(
     delta = spec.delta
 
     def attempt(c_try: float) -> _Cover:
-        half, omin, left, right = _cover_frame(c_try, delta, overlap_min, eff_min, center)
-        images = _affine_images(eff_a, eff_b, center - half, center + half)
+        half, omin, left, right = _cover_frame(c_try, delta, overlap_min, eff_min)
+        images = _affine_images(eff_a, eff_b, -half, half)
         chain, found = chain_cover(images, left, right, omin)
         if chain is None:
             return _Cover(images, None, [], found, omin)
@@ -358,7 +354,7 @@ def certify(
         c_used = c
     else:
         cover = None
-        for c_try in _masked_grid(eff_a, eff_b, spec.c_frac, delta, overlap_min, eff_min, center):
+        for c_try in _masked_grid(eff_a, eff_b, spec.c_frac, delta, overlap_min, eff_min):
             cover = attempt(c_try)
             if cover.chain is not None:
                 break
@@ -385,7 +381,7 @@ def certify(
         for i, o in zip(cover.chain, cover.overlaps)
     )
     cube = ActivatingCube(
-        x_center=center, x_half=half, delta=delta,
+        x_center=0.0, x_half=half, delta=delta,
         y_dim=spec.y_dim, z_dim=spec.z_dim,
     )
     return BlenderCertificate(
@@ -394,7 +390,7 @@ def certify(
         pair_set=tuple(pairs.pairs),
         A_values=tuple(pairs.A_values),
         B_values=tuple(pairs.B_values),
-        interval_I=(center - half, center + half),
+        interval_I=(-half, half),
         c=c_used,
         delta=delta,
         witness=witness,
@@ -435,22 +431,27 @@ def recheck_witness(cert: BlenderCertificate) -> bool:
 # Covering simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiscRecord:
-    index: int
-    x_center: float
-    x_extent: float
-    ok: bool
-    fail_step: int | None
-    steps: tuple[int, ...]           # witness indices selected per step
-    step_factors: tuple[float, ...]  # |A_n| of the pair taken at each step
-    note: str = ""
+def _json_number(value: float) -> str:
+    """A number as canonical JSON writes it: a non-finite float as its repr
+    string."""
+    return repr(value) if math.isfinite(value) else f'"{value!r}"'
 
 
 @dataclass(frozen=True, eq=False)
-class DiscColumns:
-    """The discs of one `_pull_back` call as columns: disc j is entry j of
-    each list or array, and row j of `taken`."""
+class CoveringSimReport:
+    """The discs of one pullback as columns: disc j is entry j of each list
+    or array, and row j of `taken`.  The summary (`n_discs`, `depth`,
+    `survivors`, `all_ok` and the step factor range) is read off the
+    columns; the range is taken once, on first read.
+
+    `to_json_text` writes the report's canonical JSON straight from the
+    columns: the summary, and under `per_disc` one object per disc with its
+    `fail_step`, `index`, `note`, `ok`, `steps` (the pair index taken at
+    each completed step), `step_factors` (their |A_n|), `x_center` and
+    `x_extent`.  It takes the repr of each pair's |A| and the str of each
+    pair index once, keyed by pair index (not by float value, since 0.0 ==
+    -0.0 and NaN != NaN), and looks each step up in those tables.
+    """
     indices: list[int]
     x_extent: float
     centers: np.ndarray          # X-centers
@@ -460,110 +461,69 @@ class DiscColumns:
     abs_a: np.ndarray            # |A_n| of each pair of the certificate
 
     @property
+    def n_discs(self) -> int:
+        return len(self.indices)
+
+    @property
+    def depth(self) -> int:
+        return self.taken.shape[1]
+
+    @property
     def survivors(self) -> int:
         return self.fail_steps.count(None)
-
-    def completed(self) -> np.ndarray:
-        """(discs, depth) mask of the steps each disc completed; `taken` is
-        0 past a failed disc's last completed step."""
-        depth = self.taken.shape[1]
-        done = [depth if f is None else f - 1 for f in self.fail_steps]
-        return np.arange(depth) < np.array(done, dtype=int).reshape(-1, 1)
-
-    def record(self, j: int) -> DiscRecord:
-        fail = self.fail_steps[j]
-        steps = self.taken[j, :self.taken.shape[1] if fail is None else fail - 1]
-        return DiscRecord(
-            index=self.indices[j], x_center=float(self.centers[j]), x_extent=self.x_extent,
-            ok=fail is None, fail_step=fail, steps=tuple(steps.tolist()),
-            step_factors=tuple(self.abs_a[steps].tolist()), note=self.notes[j],
-        )
-
-    def records(self) -> list[DiscRecord]:
-        return [self.record(j) for j in range(len(self.indices))]
-
-
-def _json_number(value: float) -> str:
-    """A number as canonical JSON writes it: a non-finite float as its repr
-    string."""
-    return repr(value) if math.isfinite(value) else f'"{value!r}"'
-
-
-@dataclass(frozen=True)
-class CoveringSimReport:
-    """Summary of a covering simulation, with its discs kept as columns.
-
-    `per_disc` builds the `DiscRecord`s only when a caller reads it.
-    `to_json_text` writes the canonical JSON of `to_json_dict()` straight
-    from the columns: it takes the repr of each pair's |A| and the str of
-    each pair index once, keyed by pair index (not by float value, since
-    0.0 == -0.0 and NaN != NaN), and looks each step up in those tables.
-    """
-    n_discs: int
-    depth: int
-    survivors: int
-    step_factor_min: float
-    step_factor_max: float
-    discs: DiscColumns = field(repr=False)
-
-    @classmethod
-    def of(cls, discs: DiscColumns) -> "CoveringSimReport":
-        """The report of a pullback; the step factor range is over every
-        completed step, NaN when no disc completed one."""
-        factors = discs.abs_a[discs.taken[discs.completed()]]
-        lo, hi = (float(factors.min()), float(factors.max())) if factors.size else (math.nan,) * 2
-        return cls(
-            n_discs=len(discs.indices), depth=discs.taken.shape[1], survivors=discs.survivors,
-            step_factor_min=lo, step_factor_max=hi, discs=discs,
-        )
 
     @property
     def all_ok(self) -> bool:
         return self.survivors == self.n_discs
 
-    @cached_property
-    def per_disc(self) -> tuple[DiscRecord, ...]:
-        return tuple(self.discs.records())
+    def completed(self) -> np.ndarray:
+        """(discs, depth) mask of the steps each disc completed; `taken` is
+        0 past a failed disc's last completed step."""
+        done = [self.depth if f is None else f - 1 for f in self.fail_steps]
+        return np.arange(self.depth) < np.array(done, dtype=int).reshape(-1, 1)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "n_discs": self.n_discs,
-            "depth": self.depth,
-            "survivors": self.survivors,
-            "all_ok": self.all_ok,
-            "step_factor_min": self.step_factor_min,
-            "step_factor_max": self.step_factor_max,
-            "per_disc": self.per_disc,
-        }
+    @cached_property
+    def step_factor_range(self) -> tuple[float, float]:
+        """(min, max) of |A_n| over every completed step; NaN when no disc
+        completed one."""
+        factors = self.abs_a[self.taken[self.completed()]]
+        return (float(factors.min()), float(factors.max())) if factors.size else (math.nan,) * 2
+
+    @property
+    def step_factor_min(self) -> float:
+        return self.step_factor_range[0]
+
+    @property
+    def step_factor_max(self) -> float:
+        return self.step_factor_range[1]
 
     def to_json_text(self) -> str:
-        """`cli.canonical_json(self.to_json_dict())`, written from the columns."""
-        d = self.discs
-        depth = d.taken.shape[1]
+        """The report's canonical JSON, written from the columns."""
+        depth = self.depth
         # token tables by pair index + 1; entry 0 is the empty token of a
         # step the disc did not complete
-        factors = [_json_number(v) for v in d.abs_a.tolist()]
+        factors = [_json_number(v) for v in self.abs_a.tolist()]
         steps = [str(n) for n in range(len(factors))]
-        pieces = np.empty((len(d.indices), 2 * depth + 3), dtype=object)
+        pieces = np.empty((self.n_discs, 2 * depth + 3), dtype=object)
         if depth:
-            token = np.where(d.completed(), d.taken + 1, 0)
+            token = np.where(self.completed(), self.taken + 1, 0)
             for col, table in ((1, factors), (depth + 2, steps)):
                 pieces[:, col] = np.array([""] + table, dtype=object)[token[:, 0]]
                 later = np.array([""] + ["," + t for t in table], dtype=object)
                 pieces[:, col + 1:col + depth] = later[token[:, 1:]]
         encode = json.encoder.encode_basestring_ascii
-        extent = _json_number(d.x_extent)
+        extent = _json_number(self.x_extent)
         pieces[:, 0] = [
             f'{"," if j else ""}{{"fail_step":{"null" if fail is None else fail},'
             f'"index":{index},"note":{encode(note)},"ok":{"true" if fail is None else "false"},'
             f'"step_factors":['
-            for j, (index, fail, note) in enumerate(zip(d.indices, d.fail_steps, d.notes))
+            for j, (index, fail, note) in enumerate(zip(self.indices, self.fail_steps, self.notes))
         ]
         pieces[:, depth + 1] = '],"steps":['
         pieces[:, -1] = [f'],"x_center":{_json_number(x)},"x_extent":{extent}}}'
-                         for x in d.centers.tolist()]
+                         for x in self.centers.tolist()]
         return (
-            f'{{"all_ok":{"true" if self.all_ok else "false"},"depth":{self.depth},'
+            f'{{"all_ok":{"true" if self.all_ok else "false"},"depth":{depth},'
             f'"n_discs":{self.n_discs},"per_disc":[{"".join(pieces.ravel().tolist())}],'
             f'"step_factor_max":{_json_number(self.step_factor_max)},'
             f'"step_factor_min":{_json_number(self.step_factor_min)},'
@@ -578,9 +538,11 @@ def _pull_back(
     depth: int,
     x_centers: Sequence[float] | None = None,
     x_extent: float | None = None,
-) -> DiscColumns:
+) -> CoveringSimReport:
     """Pull sampled discs through the witness chain to the given depth, all
-    discs of the call at once, and return them as columns.
+    discs of the call at once, and return the report whose columns hold,
+    per disc, its index, X-center, the step at which it stopped and why, and
+    the pair index taken at each step it completed.
 
     Disc i takes its draws from the stream `philox_rng(seed, i)`, all streams
     evaluated together by `philox_doubles`.  When the X-center is drawn, it
@@ -641,7 +603,7 @@ def _pull_back(
         # strong transverse contraction collapses the pulled-back disc
         x_lo = x_hi = x_point
 
-    return DiscColumns(
+    return CoveringSimReport(
         indices=indices, x_extent=extent, centers=centers, fail_steps=fail_step, notes=notes,
         taken=taken, abs_a=np.abs(np.asarray(cert.A_values, dtype=float)),
     )
@@ -660,7 +622,7 @@ def simulate_covering(
     order.
     """
     del spec  # geometry comes from the certificate
-    return CoveringSimReport.of(_pull_back(cert, seed, range(n_discs), depth))
+    return _pull_back(cert, seed, range(n_discs), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +669,6 @@ def _attractor_points(
 def check_activation(
     cert_a: BlenderCertificate,
     cert_b: BlenderCertificate,
-    spec: CycleSpec,
     n_discs: int = 40,
     seed: int = 0,
     depth: int = 12,
@@ -724,7 +685,6 @@ def check_activation(
     """
     if cert_a.blender_kind == cert_b.blender_kind:
         raise KindMismatch("activation check needs one cs and one cu certificate")
-    del spec
 
     def direction(src: BlenderCertificate, dst: BlenderCertificate,
                   salt: int) -> tuple[int, str]:

@@ -12,7 +12,8 @@ One rule turns a payload record into a JSON object: a record with
 `to_json_dict` writes its own object, and any other dataclass instance is
 the object of its fields, shallowly, with nested records handed on to the
 same rule.  So a record states in `to_json_dict` only where its JSON
-differs from its fields.
+differs from its fields.  A simulation report, a set of disc columns,
+writes its own JSON text.
 """
 
 from __future__ import annotations
@@ -92,34 +93,22 @@ def _record_dict(value: Any) -> dict[str, Any]:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _jsonable(obj: Any) -> Any:
-    """Recursively convert to JSON-safe values; non-finite floats become
-    strings so canonical emission never depends on allow_nan behavior."""
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return obj
-        return repr(obj)
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return _jsonable(_record_dict(obj))
-
-
 def canonical_json(obj: Any) -> str:
-    """The canonical text json.dumps(_jsonable(obj), sort_keys=True,
-    separators=(",", ":")), in one encoder pass where it can be.
+    """The canonical JSON text of a payload: sorted keys, no spaces, and
+    every non-finite float written as its repr string ("nan", "inf").
 
-    The pass hands each value json cannot encode to `_record_dict`: a
-    record's own `to_json_dict`, else the shallow dict of its dataclass
-    fields; anything else raises TypeError.  A value with `to_json_text` (a
-    simulation report) writes its own text instead: the pass encodes a
-    placeholder string for it, then the text replaces the placeholder.  The
-    pass refuses non-finite floats; then, or when a payload string reads
-    like a placeholder, the `_jsonable` walk runs instead.  Mapping keys in
-    payloads are strings, so the pass needs no key conversion.
+    One encoder pass does the work where it can.  It hands each value json
+    cannot encode to `_record_dict`: a record's own `to_json_dict`, else the
+    shallow dict of its dataclass fields; anything else raises TypeError.  A
+    value with `to_json_text` (a simulation report) writes its own text
+    instead: the pass encodes a placeholder string for it, then the text
+    replaces the placeholder.  Mapping keys in payloads are strings, so the
+    pass needs no key conversion.
+
+    The pass refuses non-finite floats.  Then, or when a payload string
+    reads like a placeholder, a walk turns the payload into JSON values
+    first: a non-finite float becomes its repr, a report the values of its
+    own text, and any other record its `_record_dict`.
     """
     texts: list[str] = []
 
@@ -131,6 +120,19 @@ def canonical_json(obj: Any) -> str:
             return {str(k): v for k, v in value.items()}
         return _record_dict(value)
 
+    def walk(value: Any) -> Any:
+        if isinstance(value, float):
+            return value if math.isfinite(value) else repr(value)
+        if isinstance(value, (str, int, bool)) or value is None:
+            return value
+        if isinstance(value, Mapping):
+            return {str(k): walk(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [walk(v) for v in value]
+        if hasattr(value, "to_json_text"):
+            return json.loads(value.to_json_text())
+        return walk(_record_dict(value))
+
     try:
         text = json.dumps(obj, default=hook, allow_nan=False, sort_keys=True,
                           separators=(",", ":"))
@@ -141,7 +143,7 @@ def canonical_json(obj: Any) -> str:
             text = text.replace(mark, sub)
         return text
     except ValueError:
-        return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+        return json.dumps(walk(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _emit(config: RunConfig, payload: dict[str, Any]) -> None:
@@ -367,7 +369,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
 
     if len(certificates) == 2:
         payload["activation"] = blender_certifier.check_activation(
-            certificates[0], certificates[1], spec, seed=config.seed
+            certificates[0], certificates[1], seed=config.seed
         )
 
     if config.knob("unfold", False, bool):

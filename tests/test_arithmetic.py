@@ -8,7 +8,7 @@ import pytest
 import blenderforge as bf
 from blenderforge import arithmetic
 from blenderforge.arithmetic import alpha_df, alpha_sf
-from conftest import W1_IRR, df_spec, rng_for, sf_spec
+from builders import W1_IRR, df_spec, rng_for, sf_spec
 
 TWO_PI = 2.0 * math.pi
 DATA = Path(__file__).parent / "data"

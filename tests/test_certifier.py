@@ -13,7 +13,6 @@ from blenderforge.blender_certifier import (
     AUTO_SHRINK_FACTOR,
     AUTO_SHRINK_FLOOR,
     BlenderCertificate,
-    DiscRecord,
     _affine_images,
     _attractor_points,
     _c_grid,
@@ -25,7 +24,7 @@ from blenderforge.blender_certifier import (
     chain_cover,
 )
 from blenderforge.rng import philox_rng
-from conftest import sf_spec
+from builders import DiscRecord, disc_records, sf_spec
 
 
 def synthetic_sequence(a_values, b_values, case=bf.CaseTag.SF_1):
@@ -181,20 +180,20 @@ def test_chain_cover_matches_reachability_oracle():
 DATA = Path(__file__).parent / "data"
 
 
-def certify_at(spec, seq, c, overlap_min=None, center=0.0):
+def certify_at(spec, seq, c, overlap_min=None):
     """The certificate at exactly c, or None when no chain covers there."""
     try:
-        return bf.certify(spec, seq, overlap_min=overlap_min, c=c, center=center)
+        return bf.certify(spec, seq, overlap_min=overlap_min, c=c)
     except bf.CoverageGap:
         return None
 
 
-def sequential_certify(spec, seq, overlap_min=None, center=0.0):
+def sequential_certify(spec, seq, overlap_min=None):
     """The c descent as a walk over every grid value: the first c of the
     x AUTO_SHRINK_FACTOR grid at which a chain exists, refined by 50
     bisection steps, and the certificate at the c so found."""
     def cert_at(c):
-        return certify_at(spec, seq, c, overlap_min, center)
+        return certify_at(spec, seq, c, overlap_min)
 
     c_try = spec.c_frac
     while c_try > AUTO_SHRINK_FLOOR:
@@ -255,7 +254,7 @@ def test_descent_matches_sequential_oracle_on_searched_pairs(doc):
 
 @st.composite
 def tie_sets(draw):
-    """(delta, den, rows, overlap_min, center) with rows (64|A|, sign of A,
+    """(delta, den, rows, overlap_min) with rows (64|A|, sign of A,
     j) and B = j*delta/den.  With delta and den powers of two every image
     end at c = c_frac is exact, so ends meet left, and overlaps meet omin,
     exactly; with den = 400 equal images repeat exactly."""
@@ -265,8 +264,7 @@ def tie_sets(draw):
     rows = draw(st.lists(row, min_size=1, max_size=14))
     step = delta / den
     overlap = draw(st.sampled_from([None, 0.0, step, 2 * step, 4 * step]))
-    center = draw(st.sampled_from([0.0, step, -3 * step, 0.0123]))
-    return delta, den, rows, overlap, center
+    return delta, den, rows, overlap
 
 
 def tie_sequence(delta, den, rows):
@@ -282,31 +280,30 @@ def contracting(seq):
     return eff_a, eff_b, lo if kind == "cs" else 1.0 / hi
 
 
-def mask_of(spec, seq, cs, overlap_min=None, center=0.0):
+def mask_of(spec, seq, cs, overlap_min=None):
     eff_a, eff_b, eff_min = contracting(seq)
     return _chain_mask(eff_a, eff_b, np.asarray(cs, dtype=float), spec.delta, overlap_min,
-                       eff_min, center).tolist()
+                       eff_min).tolist()
 
 
 @settings(max_examples=25)
 @given(tie_sets())
-@example((0.1, 400, [(13, False, 0), (21, False, -8), (50, False, 3), (50, True, 3)], None,
-          0.0))
+@example((0.1, 400, [(13, False, 0), (21, False, -8), (50, False, 3), (50, True, 3)], None))
 def test_descent_matches_sequential_oracle_on_generated_pairs(case):
-    delta, den, rows, overlap, center = case
+    delta, den, rows, overlap = case
     spec, seq = tie_sequence(delta, den, rows)
-    assert_descent_matches_oracle(spec, seq, overlap_min=overlap, center=center)
+    assert_descent_matches_oracle(spec, seq, overlap_min=overlap)
 
 
 @settings(max_examples=15)
 @given(tie_sets())
 def test_mask_keeps_every_grid_c_that_chains(case):
-    delta, den, rows, overlap, center = case
+    delta, den, rows, overlap = case
     spec, seq = tie_sequence(delta, den, rows)
     grid = _c_grid(spec.c_frac)
-    mask = mask_of(spec, seq, grid, overlap, center)
+    mask = mask_of(spec, seq, grid, overlap)
     for c, kept in zip(grid, mask):
-        assert kept or certify_at(spec, seq, c, overlap, center) is None
+        assert kept or certify_at(spec, seq, c, overlap) is None
 
 
 def exact_tie_chain(shift=0.0, extra=()):
@@ -315,7 +312,7 @@ def exact_tie_chain(shift=0.0, extra=()):
     exactly 1/64, and the third ends past right; `shift` moves the third,
     and `extra` adds maps with these B."""
     spec = sf_spec(delta=0.125)
-    half, omin, left, right = _cover_frame(0.5, spec.delta, 2.0 ** -6, 0.5, 0.0)
+    half, omin, left, right = _cover_frame(0.5, spec.delta, 2.0 ** -6, 0.5)
     width = 0.5 * half                   # half-width of each image
     b1 = left + width
     b2 = (b1 + width - omin) + width
@@ -347,13 +344,13 @@ def test_mask_keeps_a_chain_of_exact_ties():
 @settings(max_examples=15)
 @given(tie_sets())
 def test_mask_at_overlap_zero_is_the_union_sweep(case):
-    delta, den, rows, _, center = case
+    delta, den, rows, _ = case
     spec, seq = tie_sequence(delta, den, rows)
     eff_a, eff_b, eff_min = contracting(seq)
     grid = _c_grid(spec.c_frac)
-    for c, kept in zip(grid, mask_of(spec, seq, grid, 0.0, center)):
-        half, _, left, right = _cover_frame(c, spec.delta, 0.0, eff_min, center)
-        images = _affine_images(eff_a, eff_b, center - half, center + half)
+    for c, kept in zip(grid, mask_of(spec, seq, grid, 0.0)):
+        half, _, left, right = _cover_frame(c, spec.delta, 0.0, eff_min)
+        images = _affine_images(eff_a, eff_b, -half, half)
         assert kept == union_covers(images, left, right)
 
 
@@ -390,7 +387,7 @@ def test_masked_grid_in_blocks_is_the_one_pass_mask(monkeypatch, cells):
     for (a, b), kept in zip(sets, expected):
         seq = synthetic_sequence(a, b)
         eff_a, eff_b, eff_min = contracting(seq)
-        assert list(_masked_grid(eff_a, eff_b, spec.c_frac, spec.delta, None, eff_min, 0.0)) == kept
+        assert list(_masked_grid(eff_a, eff_b, spec.c_frac, spec.delta, None, eff_min)) == kept
         assert_descent_matches_oracle(spec, seq)
 
 
@@ -434,8 +431,8 @@ def test_simulation_depth_zero_vacuous():
 def test_simulation_adversarial_wide_disc():
     spec = sf_spec(delta=0.1)
     cert = bf.certify(spec, synthetic_sequence([0.5] * 5, FIVE_B), c=0.5)
-    (rec,) = _pull_back(cert, seed=1, indices=[0], depth=5, x_centers=[0.0],
-                        x_extent=3.0 * cert.c * cert.delta).records()
+    (rec,) = disc_records(_pull_back(cert, seed=1, indices=[0], depth=5, x_centers=[0.0],
+                                     x_extent=3.0 * cert.c * cert.delta))
     assert not rec.ok
     assert rec.fail_step == 1
     assert "margin" in rec.note
@@ -455,7 +452,7 @@ def test_simulation_reports_first_failure():
     bad = doctored(cert, overlap_min=0.5)
     report = bf.simulate_covering(spec, bad, n_discs=3, seed=0, depth=3)
     assert not report.all_ok
-    first = next(r for r in report.per_disc if not r.ok)
+    first = next(r for r in disc_records(report) if not r.ok)
     assert first.index == 0
     assert first.fail_step == 1
 
@@ -510,8 +507,8 @@ def reference_disc(cert, index, seed, depth, x_center=None, x_extent=None):
 
 
 def assert_matches_oracle(cert, seed, indices, depth, x_centers=None, x_extent=None):
-    records = _pull_back(cert, seed, indices, depth, x_centers=x_centers,
-                         x_extent=x_extent).records()
+    records = disc_records(_pull_back(cert, seed, indices, depth, x_centers=x_centers,
+                                      x_extent=x_extent))
     assert [r.index for r in records] == list(indices)
     for j, (rec, index) in enumerate(zip(records, indices)):
         center = None if x_centers is None else x_centers[j]
@@ -620,7 +617,7 @@ def test_mutual_activation_same_cube():
     cu = bf.certify(
         spec, synthetic_sequence([2.0] * 17, dense_bs(-0.1, 0.1, 17)), c=0.5
     )
-    report = bf.check_activation(cs, cu, spec, n_discs=30, seed=2, depth=10)
+    report = bf.check_activation(cs, cu, n_discs=30, seed=2, depth=10)
     assert report.mutual
     assert report.a_to_b_survivors >= 1
     assert report.b_to_a_survivors >= 1
@@ -630,17 +627,26 @@ def test_activation_kind_mismatch():
     spec = sf_spec(delta=0.1)
     cs = bf.certify(spec, synthetic_sequence([0.5] * 9, dense_bs(-0.04, 0.04, 9)), c=0.5)
     with pytest.raises(bf.KindMismatch):
-        bf.check_activation(cs, cs, spec)
+        bf.check_activation(cs, cs)
 
 
 def test_activation_disjoint_cubes_false():
     spec = sf_spec(delta=0.1)
     cs = bf.certify(spec, synthetic_sequence([0.5] * 9, dense_bs(-0.04, 0.04, 9)), c=0.5)
-    # fixed point -B/(A-1) must sit at the shifted center
-    far = [-5.0 + b for b in dense_bs(-0.1, 0.1, 17)]
-    cu = bf.certify(
-        spec, synthetic_sequence([2.0] * 17, far), c=0.5, center=5.0,
-    )
-    report = bf.check_activation(cs, cu, spec, n_discs=20, seed=2, depth=6)
+    # the cu certificate of the same cube, carried to the cube 5 away by the
+    # conjugacy x -> x + 5: the maps become x -> 2x + B - 5, and I, every
+    # witness image and the cube's center move by 5
+    cu = bf.certify(spec, synthetic_sequence([2.0] * 17, dense_bs(-0.1, 0.1, 17)), c=0.5)
+    doc = cu.to_json_dict()
+    far = BlenderCertificate.from_json_dict({
+        **doc,
+        "B_values": [b - 5.0 for b in cu.B_values],
+        "interval_I": [v + 5.0 for v in cu.interval_I],
+        "witness": [{**w, "interval": [v + 5.0 for v in entry.interval]}
+                    for w, entry in zip(doc["witness"], cu.witness)],
+        "activating_cube": {**doc["activating_cube"], "x_center": 5.0},
+    })
+    assert far.x_center == 5.0
+    report = bf.check_activation(cs, far, n_discs=20, seed=2, depth=6)
     assert not report.a_activates_b
     assert report.diagnostic

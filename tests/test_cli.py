@@ -9,6 +9,7 @@ independent; the DF-3.2 document is DF-2.1 #1 with omega2/2pi moved onto
 the relation 7*theta*omega2 = theta + omega1 + 1.
 """
 
+import csv
 import json
 import math
 import os
@@ -24,9 +25,9 @@ import pytest
 import blenderforge as bf
 from blenderforge import cli, simple_dynamics
 from blenderforge.arithmetic import PairSequence
-from blenderforge.blender_certifier import BlenderCertificate, CoveringSimReport, _pull_back
+from blenderforge.blender_certifier import BlenderCertificate, _pull_back
 from blenderforge.cycle_model import load_spec_document
-from conftest import sf_spec
+from builders import reference_json, sf_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,9 +125,16 @@ SIMULATION_CASES = {
 #: command, document and --set overrides of the goldens that pin what the
 #: case table decides where the goldens above do not: DF-1 certifying its
 #: one blender, the tags with no pipeline golden above (each stops at a
-#: search or certify error), and `cones`, which searches like every other
-#: command
+#: search or certify error), a fully rational document of each focus type
+#: (the exclusion verdict in place of a search), a spec that fails
+#: nondegeneracy (eta2 = eta1), and `cones`, which searches like every other
+#: command.  Like the `simple-check` goldens, the DF rational one was written
+#: on NumPy's AVX-512 kernels; on its AVX2 path one exclusion membership
+#: differs (ROADMAP item 2)
 TABLE_CASES = {
+    "pipeline_sf_rational_simple": ("pipeline", "sf_rational_simple", {}),
+    "pipeline_df_rational_no_pairs": ("pipeline", "df_rational_no_pairs", {}),
+    "pipeline_sf_1_0_degenerate": ("pipeline", "sf_1_0", {"eta2": "-0.44785539260073703"}),
     "pipeline_df_1_2_eps1e-2": ("pipeline", "df_1_2", {"eps": "1e-2"}),
     "pipeline_df_2_2_3_eps1e-2": ("pipeline", "df_2_2_3", {"eps": "1e-2"}),
     "pipeline_df_3_1_from_df_3_3_2_0": ("pipeline", "df_3_1_from_df_3_3_2_0", {}),
@@ -141,9 +149,13 @@ TABLE_CASES = {
 
 #: command, document and --set overrides of the goldens of the commands that
 #: emit one kind of record each: the moduli with their rational classes and
-#: dependence relations, the A1 and A2 residue witnesses, and the mu-windows.
-#: check-a2 on df_3_3_1_0 writes 4 MB, so it has no golden
+#: dependence relations, the A1 and A2 residue witnesses, the mu-windows,
+#: and the certificate (at the document's delta and at one set by --set, and
+#: a certify error).  check-a2 on df_3_3_1_0 writes 4 MB, so it has no golden
 RECORD_CASES = {
+    "certify_sf_1_0": ("certify", "sf_1_0", {}),
+    "certify_sf_1_0_delta": ("certify", "sf_1_0", {"delta": "0.05"}),
+    "certify_df_1_2": ("certify", "df_1_2", {}),
     "moduli_sf_1_0": ("moduli", "sf_1_0", {}),
     "moduli_df_3_3_1_0": ("moduli", "df_3_3_1_0", {}),
     "check_a1_sf_1_0": ("check-a1", "sf_1_0", {}),
@@ -151,13 +163,21 @@ RECORD_CASES = {
     "unfold_sf_1_1": ("unfold", "sf_1_1", {}),
 }
 
+#: command and the blocks of sf_1_0 kept in the document of the goldens whose
+#: document is not under tests/data: none (the file is missing, so the load
+#: stage fails) and the spec alone (the command needs the moduli)
+LOCAL_DOC_CASES = {
+    "load_missing_file": ("pipeline", None),
+    "search_pairs_no_moduli": ("search-pairs", ("spec",)),
+}
+
 #: exit status of each payload's error stage (None: no error)
 EXIT_STATUS = {None: 0, "load": 1, "run": 1, "search": 2, "certify": 3}
 
 
-def _run_golden(command, doc, overrides, golden_name, tmp_path, capsys, workers=1):
+def _run_golden(command, doc, overrides, golden_name, tmp_path, capsys, workers=1, data=DATA):
     out = tmp_path / "out.json"
-    config = cli.RunConfig(command, str(DATA / f"{doc}.json"), dict(overrides),
+    config = cli.RunConfig(command, str(data / f"{doc}.json"), dict(overrides),
                            out_path=str(out), workers=workers)
     status = cli.run(config)
     golden = (DATA / "golden" / f"{golden_name}.json").read_text(encoding="utf-8")
@@ -195,6 +215,50 @@ def test_case_table_golden(name, tmp_path, capsys):
 def test_record_golden(name, tmp_path, capsys):
     command, doc, overrides = RECORD_CASES[name]
     _run_golden(command, doc, overrides, name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_DOC_CASES))
+def test_local_document_golden(name, tmp_path, capsys, monkeypatch):
+    # the document path is relative, so the load error reads the same anywhere
+    command, blocks = LOCAL_DOC_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    if blocks is not None:
+        doc = json.loads((DATA / "sf_1_0.json").read_text(encoding="utf-8"))
+        Path("spec.json").write_text(json.dumps({b: doc[b] for b in blocks}), encoding="utf-8")
+    _run_golden(command, "spec", {}, name, tmp_path, capsys, data=Path())
+
+
+def test_search_pairs_writes_csv(tmp_path, capsys):
+    path = tmp_path / "pairs.csv"
+    _run_golden("search-pairs", "sf_1_0", {"csv": str(path)}, "search_pairs_sf_1_0", tmp_path,
+                capsys)
+    seq = json.loads((DATA / "golden" / "search_pairs_sf_1_0.json").read_text())["pairs"]
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["k", "m", "t", "s", "w", "A_km", "B_km"]
+    assert [[int(k), int(m)] for k, m, *_ in rows] == seq["pairs"]
+    assert [float(r[5]) for r in rows] == seq["A_values"]
+    assert [float(r[6]) for r in rows] == seq["B_values"]
+
+
+def test_main_writes_what_run_writes(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = ["pipeline", "--spec", str(DATA / "sf_3_0.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    golden = (DATA / "golden" / "pipeline_sf_3_0.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+    assert out.read_bytes() == golden.encode("utf-8")
+
+
+@pytest.mark.parametrize("entry,message", [("eps", "bad --set entry 'eps'"),
+                                           ("grid=9", "unknown override keys: ['grid']")],
+                         ids=["no_equals_sign", "unknown_key"])
+def test_main_rejects_a_bad_set_entry(entry, message, capsys):
+    argv = ["pipeline", "--spec", str(DATA / "sf_3_0.json"), "--set", entry]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cones_search_reads_min_pairs(capsys):
@@ -284,10 +348,6 @@ def test_import_leaves_numpy_random_unloaded():
     assert out.strip() == "False"
 
 
-def reference_json(payload):
-    return json.dumps(cli._jsonable(payload), sort_keys=True, separators=(",", ":"))
-
-
 def five_map_certificate():
     # five maps x -> x/2 + B whose images of I = [-0.05, 0.05] chain across it
     spec = sf_spec(delta=0.1)
@@ -321,8 +381,7 @@ def test_canonical_json_when_every_disc_fails_at_step_one():
 def test_canonical_json_of_non_finite_and_negative_zero_centers():
     _, cert = five_map_certificate()
     centers = [math.nan, math.inf, -math.inf, -0.0, 0.0]
-    discs = _pull_back(cert, 3, range(5), depth=3, x_centers=centers)
-    report = CoveringSimReport.of(discs)
+    report = _pull_back(cert, 3, range(5), depth=3, x_centers=centers)
     text = cli.canonical_json({"simulation": report, "zero": -0.0})
     assert text == reference_json({"simulation": report, "zero": -0.0})
     x_centers = [d["x_center"] for d in json.loads(text)["simulation"]["per_disc"]]
@@ -341,7 +400,7 @@ def test_canonical_json_of_non_ascii_notes():
     spec, cert = five_map_certificate()
     report = bf.simulate_covering(spec, cert, n_discs=3, seed=0, depth=2)
     notes = ["", "δ-Scheibe → \U0001d53b", 'quote " and \\ and \n']
-    odd = CoveringSimReport.of(replace(report.discs, notes=notes, fail_steps=[None, 2, 1]))
+    odd = replace(report, notes=notes, fail_steps=[None, 2, 1])
     payload = {"simulation": odd, "note": "café"}
     assert cli.canonical_json(payload) == reference_json(payload)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import blenderforge as bf
-from conftest import df_spec, sf_spec, W1_IRR
+from builders import df_spec, sf_spec, W1_IRR
 
 SQRT2_FLOAT = 1.4142135623730951  # nearest double to sqrt(2), frozen from mpmath
 
@@ -54,7 +54,7 @@ def test_validation_eta_both_tangent_poles_fail():
 
 @given(st.integers(0, 2**32 - 1))
 def test_randomized_valid_spec_passes(seed):
-    from conftest import rng_for
+    from builders import rng_for
     rng = rng_for(seed)
     spec = sf_spec(
         theta=float(rng.uniform(0.3, 2.5)),

@@ -30,7 +30,7 @@ import blenderforge as bf
 from blenderforge import arithmetic
 from blenderforge.arithmetic import PairSequence, alpha_df, alpha_sf
 from blenderforge.return_map import sign_period
-from conftest import sf_spec
+from builders import sf_spec
 
 DATA = Path(__file__).parent / "data"
 TWO_PI = 2.0 * math.pi

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import blenderforge as bf
 from blenderforge.return_map import CrossMapModel, ReturnCoeffs, _cone_fields, power_term
-from conftest import df_spec, sf_spec
+from builders import df_spec, sf_spec
 
 
 def hand_sf_spec():

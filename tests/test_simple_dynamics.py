@@ -26,7 +26,7 @@ from blenderforge.simple_dynamics import (
     _SfTables,
     exclusion_elements,
 )
-from conftest import df_spec, random_rational_sf_spec, rng_for, sf_spec
+from builders import df_spec, random_rational_sf_spec, rng_for, sf_spec
 
 DATA = Path(__file__).parent / "data"
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import blenderforge as bf
-from conftest import W1_IRR, sf_spec
+from builders import W1_IRR, sf_spec
 
 
 def window_spec():
@@ -43,7 +43,7 @@ def test_window_domain_errors():
     with pytest.raises(bf.DomainError):
         bf.window_s(spec, -1, 4)
     with pytest.raises(bf.NotApplicable):
-        from conftest import df_spec
+        from builders import df_spec
         bf.window_u(df_spec(), 5, 4)
 
 

@@ -18,6 +18,20 @@ The kernels share one funnel: candidates, the window mask, a coarse gap,
 one exact `return_map.coeffs` evaluation per survivor, then assembly.  The
 reported A/B values are those of the exact stage, so they round-trip
 bit-exactly.
+
+The band and circle tests of the k lattice (SF-3, DF-2.1, DF-3.1) depend on
+k only through its phase k*omega1 on the circle, so they are first decided
+there, and today's float64 test then runs on the ks kept.  `_phases` gives
+each k's phase as a 64-bit fixed-point turn, one wrapping uint64 multiply
+by W = round(2**64 * omega1 / TWO_PI).  The band test changes only at the
+cut points where num*sin(theta + eta1) = +-L*den*sin(theta + eta2), L = lo
+or hi, or sin(theta + eta2) = 0: at most 10 on the circle, each a simple
+zero of a sinusoid.  `_band_table` decides each cell between two cuts by
+one scalar evaluation at its midpoint and marks the 4096 phase bins that
+meet a passing cell or lie within a margin of a cut; the margin covers the
+rounding of the float test, of the cuts and of the fixed point, so every
+k that the float test keeps lies in a marked bin.  The output is the float
+test's, bit for bit.
 """
 
 from __future__ import annotations
@@ -336,6 +350,7 @@ class _Search:
     kind: str | None
     min_pairs: int
     residue_rank: int
+    witnesses: Sequence[ResidueWitness] | None = None
 
     @property
     def what(self) -> str:
@@ -350,6 +365,12 @@ class _Search:
         """The requested side (cs unless asked) and its |alpha| band."""
         kind = self.kind or "cs"
         return (kind, *(CS_BAND if kind == "cs" else CU_BAND))
+
+    def residues(self) -> Sequence[ResidueWitness]:
+        """The caller's residue witnesses, else the case's `residue_witnesses`."""
+        if self.witnesses is None:
+            return residue_witnesses(self.spec, self.moduli, self.case) or []
+        return self.witnesses
 
 
 #: a kept candidate: k, m, its distance to the target and its coefficients
@@ -460,6 +481,124 @@ def _m_residues(
 def _circle_gap(x: np.ndarray, centre: float) -> np.ndarray:
     """Distance of each x to centre on the unit circle R/Z."""
     return np.abs((x - centre + 0.5) % 1.0 - 0.5)
+
+
+#: the band table has 2**_TABLE_BITS phase bins
+_TABLE_BITS = 12
+#: past this margin (rad) the band test runs on every k
+_MARGIN_MAX = 1e-6
+#: unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def _phases(ks: np.ndarray, omega: float) -> np.ndarray:
+    """The phase k*omega/TWO_PI mod 1 of each int64 k as a uint64 count of
+    2**-64 turn: k*W with W = round(2**64 * omega / TWO_PI) mod 2**64,
+    computed exactly.  The multiply wraps mod 2**64, which is the phase's
+    own wrap, so the result is off by at most |k|*2**-65 turn."""
+    w = round(Fraction(omega) * 2**64 / Fraction(TWO_PI)) % 2**64
+    return ks.view(np.uint64) * np.uint64(w)
+
+
+def _gap_within(ks: np.ndarray, omega: float, centre: float, eps: float) -> np.ndarray:
+    """The ascending ks whose float circle gap `_circle_gap(k*w, centre)`,
+    w = omega/TWO_PI, is at most eps.
+
+    The gap is first taken in fixed point on `_phases`.  fl(k*w) and the
+    gap's roundings put the float gap within 8u*(|k*w| + 2) turn of the
+    exact gap of k*omega/TWO_PI (w itself is within u relative), and the
+    phase is within (|k| + 2)*2**-64 turn of it with the rounding of centre
+    and of the radius.  So the fixed-point radius eps plus twice these keeps
+    every k that the float gap keeps; past half a turn it keeps every k.
+    """
+    w = omega / TWO_PI
+    if ks.size:
+        k_max = max(-int(ks[0]), int(ks[-1]))
+        radius = eps + 2 * (8 * _U * (k_max * abs(w) + 2) + (k_max + 2) * 2.0 ** -64)
+        if 0.0 <= radius < 0.5:
+            reach = math.ceil(radius * 2.0 ** 64)
+            ph = _phases(ks, omega)
+            ph -= np.uint64((round(Fraction(centre) * 2**64) - reach) % 2**64)
+            ks = ks[ph <= np.uint64(2 * reach)]
+    return ks[_circle_gap(ks * w, centre) <= eps]
+
+
+def _band_table(
+    spec: CycleSpec, lo: float, hi: float, num: float, den: float, sign_c: float, k_max: int,
+) -> np.ndarray | None:
+    """The 2**_TABLE_BITS phase bins that may hold a k, |k| <= k_max, which
+    passes the float band test of `_band_aim`; None when the margin below
+    is not under _MARGIN_MAX, and the test must then run on every k.
+
+    Cuts.  With s1, s2 = sin(theta + eta1), sin(theta + eta2), the test
+    asks sign_c*s2 > 0 and lo <= |num*s1 / (den*s2)| <= hi.  For L = lo or
+    hi, |num*s1| - L*|den*s2| has the sign of g+ * g-, where g+- = num*s1
+    +- L*den*s2 = a*sin(theta) + b*cos(theta) = R*sin(theta + atan2(b, a)),
+    whose zeros -atan2(b, a) + n*pi are simple when R > 0 (R = 0 returns
+    None).  With the zeros of s2 these are at most 10 cuts on the circle.
+    Between two neighbouring cuts the exact test does not change, so one
+    evaluation at the cell's midpoint decides the cell.  The |s2| >
+    ZERO_TOL clause only drops ks, so the table leaves it out.
+
+    Margin.  The float test at k is today's expressions at the float
+    argument fl(fl(k*omega1) + eta), which lies within 2u*(k_max*|omega1| +
+    |eta|) of k*omega1 + eta (u = 2**-53); np.sin adds at most 2**-50
+    (measured within one ulp up to |x| = 6e7).  So each float sine is
+    within e = 2u*(k_max*|omega1| + 4*pi + |eta|) + 2**-50 of the exact
+    sine at theta_k = k*omega1, and at a midpoint (below 4*pi) as well.
+    With the ratio's 3u each g is within E = (|num| + L*|den|)*(e + 4u)
+    of exact.  As |g| >=
+    (2/pi)*R*dist(theta, zeros of g), the float and exact tests can differ
+    only within (pi/2)*E/R of a zero of some g, or (pi/2)*e of a zero of
+    s2.  Added to this: the cuts' own rounding, 8u*(|num| + L*|den|)/R +
+    64u, which also covers the midpoints and the turn conversion; the gap
+    between TWO_PI, in whose turns the phase counts, and 2*pi, (k_max*|omega1|
+    / TWO_PI + 1)*2**-51 rad; and W's rounding, TWO_PI*k_max*2**-65 rad.
+    The margin is twice the sum.  A cell narrower than twice the margin lies
+    within the margin of its cuts, and a wider one has its midpoint farther
+    than the margin from every cut, where the scalar test is exact.  So
+    every k that the float test keeps falls in a marked bin: one meeting a
+    passing cell or lying within the margin of a cut, each widened by the
+    margin.
+    """
+    e1, e2 = spec.eta1, spec.eta2
+    err = 2 * _U * (k_max * abs(spec.omega1) + 4 * math.pi + max(abs(e1), abs(e2))) + 2.0 ** -50
+    reach = math.pi / 2 * err
+    cuts = [-e2, math.pi - e2]
+    for lim in (lo, hi):
+        for sl in (lim, -lim):
+            a = num * math.cos(e1) + sl * den * math.cos(e2)
+            b = num * math.sin(e1) + sl * den * math.sin(e2)
+            r = math.hypot(a, b)
+            if not 0.0 < r < math.inf:
+                return None
+            size = (abs(num) + lim * abs(den)) / r
+            reach = max(reach, math.pi / 2 * size * (err + 4 * _U) + 8 * _U * size)
+            cuts += [-math.atan2(b, a), math.pi - math.atan2(b, a)]
+    margin = 2 * (reach + 64 * _U + (k_max * abs(spec.omega1) / TWO_PI + 1) * 2.0 ** -51
+                  + TWO_PI * k_max * 2.0 ** -65)
+    if not margin <= _MARGIN_MAX:
+        return None
+    n = 1 << _TABLE_BITS
+    table = np.zeros(n, dtype=bool)
+
+    def mark(x0: float, x1: float) -> None:
+        """Mark every bin that meets [x0, x1] (rad), round the circle."""
+        first = math.floor(x0 / TWO_PI * n)
+        end = first % n + min(math.floor(x1 / TWO_PI * n) - first + 1, n)
+        first %= n
+        table[first:end] = True
+        table[:max(end - n, 0)] = True
+
+    cuts = sorted(c % TWO_PI for c in cuts)
+    for c0, c1 in zip(cuts, cuts[1:] + [cuts[0] + TWO_PI]):
+        mid = 0.5 * (c0 + c1)
+        s1, s2 = math.sin(mid + e1), math.sin(mid + e2)
+        if sign_c * s2 > 0.0 and lo * abs(den * s2) <= abs(num * s1) <= hi * abs(den * s2):
+            mark(c0 - margin, c1 + margin)
+        else:
+            mark(c0 - margin, c0 + margin)
+    return table
 
 
 def _root_scan(fn: Callable[[float], float], lo: float, hi: float, n: int) -> list[float]:
@@ -599,12 +738,13 @@ def _lattice(
     alpha_ref: float | None = None,
 ) -> PairSequence:
     """SF-1, DF-1, SF-3, DF-2.1, DF-3.1, DF-3.2: k runs over r + q*kp
-    (k_class) inside the window; `aim` keeps the ks that qualify and gives
-    the t* each aims at (one number or one per k), and m is the integer of
-    its class m_class nearest t* + theta*k.  With `slope` set, eps bounds
-    |B_km| and the coarse gap on t is 2*eps/slope; without it eps bounds the
-    torus distance, which also takes in the circle distances of
-    k*omega1/2pi to s_circle and m*omega2/2pi to w_circle.
+    (k_class) inside the window; `aim` takes these ks in ascending order,
+    keeps the ones that qualify and gives the t* each aims at (one number
+    or one per k), and m is the integer of its class m_class nearest t* +
+    theta*k.  With `slope` set, eps bounds |B_km| and the coarse gap on t
+    is 2*eps/slope; without it eps bounds the torus distance, which also
+    takes in the circle distances of k*omega1/2pi to s_circle and
+    m*omega2/2pi to w_circle.
     """
     spec, theta = s.spec, s.moduli.theta
     r, q = k_class
@@ -612,7 +752,7 @@ def _lattice(
     kp_hi = (s.window.k_max - r) // q
     if kp_hi < kp_lo:
         raise WindowExhausted(f"{s.what}: empty k window", found=0)
-    ks, t_star = aim(r + q * np.arange(kp_lo, kp_hi + 1, dtype=np.int64))
+    ks, t_star = aim(np.arange(r + q * kp_lo, r + q * kp_hi + 1, q, dtype=np.int64))
     ideal = t_star + theta * ks
     r, q = m_class
     ms = r + q * np.round((ideal - r) / q).astype(np.int64)
@@ -639,8 +779,20 @@ def _band_aim(
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The ks whose band value |num*sin(k*omega1 + eta1) / (den*sin2)| lies in
     [lo, hi] and whose B-profile gamma^t*den*sin2 - c crosses zero
-    (sign_c*sin2 > 0), with the crossing t* of each; sin2 = sin(k*omega1 + eta2)."""
+    (sign_c*sin2 > 0), with the crossing t* of each; sin2 = sin(k*omega1 + eta2).
+
+    The float64 test runs only on the ks whose phase bin `_band_table`
+    marks, which hold every k it keeps.  It runs on every k when no table
+    is built, and on a window no longer than the table, which costs less
+    to test in full than the table costs to build."""
     def aim(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if ks.size > 1 << _TABLE_BITS:
+            k_max = max(-int(ks[0]), int(ks[-1]))  # the ks ascend
+            table = _band_table(spec, lo, hi, num, den, sign_c, k_max)
+            if table is not None:
+                bins = _phases(ks, spec.omega1)
+                bins >>= np.uint64(64 - _TABLE_BITS)
+                ks = ks[table[bins.view(np.int64)]]
         ang = ks * spec.omega1
         s2 = np.sin(ang + spec.eta2)
         sign = np.flatnonzero((sign_c * s2 > 0.0) & (np.abs(s2) > ZERO_TOL))
@@ -657,7 +809,7 @@ def _sf_residue_block(s: _Search) -> PairSequence:
     spec = s.spec
     pq = s.moduli.rational("omega1")
     q, p = pq.denominator, pq.numerator
-    wit = _pick_witness(check_A1(spec, q, p), s.kind, "SF-1", s.residue_rank)
+    wit = _pick_witness(s.residues(), s.kind, "SF-1", s.residue_rank)
     t_star = residue_tstar(spec, wit.r)
     return _lattice(
         s, (wit.r, q), (0, sign_period(spec)), lambda ks: (ks, t_star),
@@ -673,7 +825,7 @@ def _df_residue_block(s: _Search) -> PairSequence:
     f1, f2 = s.moduli.rational("omega1"), s.moduli.rational("omega2")
     q1, p1 = f1.denominator, f1.numerator
     q2, p2 = f2.denominator, f2.numerator
-    wit = _pick_witness(check_A2(spec, q1, p1, q2, p2), s.kind, "DF-1", s.residue_rank)
+    wit = _pick_witness(s.residues(), s.kind, "DF-1", s.residue_rank)
     r1, r2 = wit.r, wit.r2 or 0
     s_star = frac(r1 * p1 / q1)
     w_star = frac(r2 * p2 / q2)
@@ -750,9 +902,8 @@ def _df_grid_block(s: _Search) -> PairSequence:
         raise WindowExhausted("DF-3.1: no admissible target point", found=0)
     _, s_star, w_star = best_t
     t_star = _df_target_tstar(spec, s_star, w_star)
-    w1_hat = spec.omega1 / TWO_PI
     return _lattice(
-        s, (0, 1), (0, 1), lambda ks: (ks[_circle_gap(ks * w1_hat, s_star) <= s.eps], t_star),
+        s, (0, 1), (0, 1), lambda ks: (_gap_within(ks, spec.omega1, s_star, s.eps), t_star),
         s_circle=s_star, w_circle=w_star, target=TorusTarget.horizontal_line(s_star, w_star),
     )
 
@@ -1045,6 +1196,21 @@ CASES: dict[CaseTag, CaseInfo] = {
 }
 
 
+def residue_witnesses(
+    spec: CycleSpec, moduli: Moduli, case: CaseTag
+) -> list[ResidueWitness] | None:
+    """The residues that the SF-1 search (`check_A1`) or the DF-1 search
+    (`check_A2`) picks from, at the moduli's rational angles; None for the
+    other cases."""
+    if case is CaseTag.SF_1:
+        f = moduli.rational("omega1")
+        return check_A1(spec, f.denominator, f.numerator)
+    if case is CaseTag.DF_1:
+        f1, f2 = moduli.rational("omega1"), moduli.rational("omega2")
+        return check_A2(spec, f1.denominator, f1.numerator, f2.denominator, f2.numerator)
+    return None
+
+
 def case_info(case: CaseTag) -> CaseInfo:
     """The table entry of a case tag; NotApplicable if it has no pair search."""
     if case not in CASES:
@@ -1061,23 +1227,27 @@ def search_pairs(
     kind: str | None = None,
     min_pairs: int = 1,
     residue_rank: int = 0,
+    witnesses: Sequence[ResidueWitness] | None = None,
 ) -> PairSequence:
     """Run the case-specific pair search.
 
     `kind` requests the contraction side for cases producing both blenders
     ("cs" or "cu"); single-sided cases reject the impossible request.
     `residue_rank` skips to a lower-ranked admissible residue in the
-    residue-class cases.  The request is checked first, in this order:
-    `kind` is cs, cu or None (DomainError); the case has a pair search, its
-    tag fits the spec's cycle type, the arithmetic is not mirrored, and the
-    case yields `kind` (NotApplicable).
+    residue-class cases, which pick from `witnesses` when the caller has
+    them (as `residue_witnesses` gives them) and compute them otherwise.
+    The request is checked first, in this order: `kind` is cs, cu or None
+    (DomainError); the case has a pair search, its tag fits the spec's
+    cycle type, the arithmetic is not mirrored, and the case yields `kind`
+    (NotApplicable).
 
     eps = inf runs the case's own kernel, on the same lattice, side and
     residue, with no bound on |B_km| or on the torus distance: it keeps the
     first max(min_pairs, 1) distinct admissible pairs in (k, m) order and
     evaluates no candidate past them.
     """
-    s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, residue_rank)
+    s = _Search(spec, moduli, case, eps, window or SearchWindow(), kind, min_pairs, residue_rank,
+                witnesses)
     if kind not in (None, "cs", "cu"):
         raise DomainError("kind must be 'cs', 'cu', or None")
     info = case_info(case)

@@ -25,7 +25,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from . import arithmetic, blender_certifier, cycle_model, return_map, simple_dynamics, unfolding
 from .cycle_model import CaseTag, CycleSpec, Moduli
@@ -218,7 +218,9 @@ def _cmd_check_a2(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
 
 
 def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag,
-            kind: str | None = None, residue_rank: int = 0) -> arithmetic.PairSequence:
+            kind: str | None = None, residue_rank: int = 0,
+            witnesses: Sequence[arithmetic.ResidueWitness] | None = None,
+            ) -> arithmetic.PairSequence:
     return arithmetic.search_pairs(
         spec, moduli, case,
         eps=config.knob("eps", 1e-3),
@@ -226,19 +228,25 @@ def _search(config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag,
         kind=kind if kind is not None else config.knob("kind", None, str),
         min_pairs=config.knob("min_pairs", 1, int),
         residue_rank=residue_rank,
+        witnesses=witnesses,
     )
 
 
 def _search_and_certify(
-    config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag, kind: str | None
+    config: RunConfig, spec: CycleSpec, moduli: Moduli, case: CaseTag, kind: str | None,
+    witnesses: Sequence[arithmetic.ResidueWitness] | None = None,
 ) -> tuple[arithmetic.PairSequence, blender_certifier.BlenderCertificate]:
     """Certify the searched pairs, falling back through residue ranks (in the
     residue cases) when a residue's band is too strong for its pair density
-    to cover."""
+    to cover.  Every rank picks from one list of residue witnesses: the
+    caller's, else `residue_witnesses` computed once here."""
+    if witnesses is None:
+        witnesses = arithmetic.residue_witnesses(spec, moduli, case)
     last_exc: Exception | None = None
     for rank in range(arithmetic.case_info(case).ranks):
         try:
-            seq = _search(config, spec, moduli, case, kind=kind, residue_rank=rank)
+            seq = _search(config, spec, moduli, case, kind=kind, residue_rank=rank,
+                          witnesses=witnesses)
         except WindowExhausted as exc:
             if rank == 0:
                 raise
@@ -341,20 +349,15 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
         payload["verdict"] = simple_dynamics.simple_verdict(report)
         return payload
 
-    if spec.is_saddle_focus and moduli.is_rational("omega1"):
-        pq = moduli.rational("omega1")
-        payload["a1_witnesses"] = arithmetic.check_A1(spec, pq.denominator, pq.numerator)
-    if not spec.is_saddle_focus and moduli.is_rational("omega1") and moduli.is_rational("omega2"):
-        f1, f2 = moduli.rational("omega1"), moduli.rational("omega2")
-        payload["a2_witnesses"] = arithmetic.check_A2(
-            spec, f1.denominator, f1.numerator, f2.denominator, f2.numerator
-        )
+    witnesses = arithmetic.residue_witnesses(spec, moduli, case)
+    if witnesses is not None:
+        payload["a1_witnesses" if spec.is_saddle_focus else "a2_witnesses"] = witnesses
 
     info = arithmetic.CASES[case]
     certificates = []
     simulations = []
     for kind in info.kinds:
-        _, cert = _search_and_certify(config, spec, moduli, case, kind)
+        _, cert = _search_and_certify(config, spec, moduli, case, kind, witnesses)
         sim = blender_certifier.simulate_covering(
             spec, cert,
             n_discs=config.knob("n_discs", 50, int),
@@ -374,7 +377,7 @@ def _cmd_pipeline(config: RunConfig, spec: CycleSpec, moduli: Moduli | None) -> 
 
     if config.knob("unfold", False, bool):
         points = unfolding.find_mu_sequence(
-            spec, moduli, window_count=config.knob("window_count", 5, int)
+            spec, moduli, window_count=config.knob("window_count", 5, int), witnesses=witnesses
         )
         payload["mu_sequence"] = points
         payload["relations"] = unfolding.homoclinic_report(

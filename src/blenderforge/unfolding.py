@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .arithmetic import CASES, SearchWindow, check_A1, residue_tstar
+from .arithmetic import CASES, ResidueWitness, SearchWindow, check_A1, residue_tstar
 from .blender_certifier import BlenderCertificate, _pull_back
 from .cycle_model import CaseTag, CycleSpec, Moduli
 from .errors import DomainError, NotApplicable, OutsideWindows, WindowExhausted
@@ -116,6 +116,7 @@ def find_mu_sequence(
     moduli: Moduli,
     window_count: int,
     window: SearchWindow | None = None,
+    witnesses: Sequence[ResidueWitness] | None = None,
 ) -> list[MuPoint]:
     """Locate pairs whose u- and s-windows intersect and report the
     intersection midpoints, with strictly decreasing normalized gap.
@@ -124,8 +125,8 @@ def find_mu_sequence(
     window_count of them, else WindowExhausted), so the decay of the gap
     toward zero is visible across the whole sequence.  Requires theta
     declared irrational and omega/2pi = p/q rational; uses the residue from
-    the sign/band condition scan.  Degenerate residues are skipped with a
-    notice.
+    the sign/band condition scan (`witnesses`, when the caller has them,
+    else `check_A1`).  Degenerate residues are skipped with a notice.
     """
     if not spec.is_saddle_focus:
         raise NotApplicable("mu-sequence search handles saddle_focus cycles")
@@ -137,7 +138,7 @@ def find_mu_sequence(
         return []
     pq = moduli.rational("omega1")
     q, p = pq.denominator, pq.numerator
-    wits = check_A1(spec, q, p)
+    wits = check_A1(spec, q, p) if witnesses is None else witnesses
     if not wits:
         raise WindowExhausted("no admissible residue", found=0)
     wit = wits[0]

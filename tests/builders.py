@@ -1,11 +1,12 @@
 """Spec builders, seeded generators and the payload oracles of the test
 suite.
 
-The oracles restate what the package writes by a slower, plainer route:
+The oracles restate what the package computes by a slower, plainer route:
 `disc_records` reads a simulation report disc by disc into `DiscRecord`s,
-and `reference_json` is the canonical text as `json.dumps` of a walk that
+`reference_json` is the canonical text as `json.dumps` of a walk that
 turns every record into JSON values, a report into its summary and its
-`DiscRecord`s.
+`DiscRecord`s, and `band_aim_oracle` takes the band test of the band
+searches on every k of the window.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
 import blenderforge as bf
 from blenderforge import cli
+from blenderforge.arithmetic import ZERO_TOL
 from blenderforge.blender_certifier import CoveringSimReport
 from blenderforge.rng import philox_rng
 
@@ -144,3 +148,18 @@ def reference_jsonable(obj: Any) -> Any:
 
 def reference_json(payload: Any) -> str:
     return json.dumps(reference_jsonable(payload), sort_keys=True, separators=(",", ":"))
+
+
+def band_aim_oracle(spec, lo, hi, num, den, c, sign_c, log_gamma):
+    """`arithmetic._band_aim` without the phase prefilter: the float64 band
+    test on every k it is given."""
+    def aim(ks):
+        ang = ks * spec.omega1
+        s2 = np.sin(ang + spec.eta2)
+        sign = np.flatnonzero((sign_c * s2 > 0.0) & (np.abs(s2) > ZERO_TOL))
+        ks, ang, s2 = ks[sign], ang[sign], s2[sign]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alphas = np.abs(num * np.sin(ang + spec.eta1) / (den * s2))
+        good = (alphas >= lo) & (alphas <= hi)
+        return ks[good], np.log(c / (den * s2[good])) / log_gamma
+    return aim

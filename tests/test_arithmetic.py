@@ -1,17 +1,23 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import blenderforge as bf
 from blenderforge import arithmetic
 from blenderforge.arithmetic import alpha_df, alpha_sf
-from builders import W1_IRR, df_spec, rng_for, sf_spec
+from blenderforge.errors import PoleError
+from blenderforge.return_map import df_wave_coeffs
+from builders import W1_IRR, band_aim_oracle, df_spec, rng_for, sf_spec
 
 TWO_PI = 2.0 * math.pi
 DATA = Path(__file__).parent / "data"
+PINNED = Path(__file__).parents[1] / "perfbench" / "pinned"
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +429,162 @@ def test_pair_sequence_csv_rows(sf1_setup):
     rows = list(pair_sequence_csv_rows(seq))
     assert rows[0] == ("k", "m", "t", "s", "w", "A_km", "B_km")
     assert len(rows) == len(seq.pairs) + 1
+
+
+# ---------------------------------------------------------------------------
+# the phase prefilter of the band and circle tests
+# ---------------------------------------------------------------------------
+
+BANDS = {"cs": arithmetic.CS_BAND, "cu": arithmetic.CU_BAND}
+
+
+def band_args(spec, kind, w_star=None):
+    """The `_band_aim` arguments of the SF-3 block, or of the DF-2.1 block
+    on the plane w = w_star."""
+    lo, hi = BANDS[kind]
+    if w_star is None:
+        bu = spec.b_coef * spec.u_scalar
+        return spec, lo, hi, bu * spec.A_coef, spec.B_coef, bu, bu, math.log(abs(spec.gamma))
+    wa, wb, xi = df_wave_coeffs(spec, TWO_PI * w_star)
+    return spec, lo, hi, xi * wa, wb, xi, xi * wb, math.log(spec.gamma)
+
+
+def assert_aim_matches_oracle(args, ks):
+    ks_new, t_new = arithmetic._band_aim(*args)(ks)
+    ks_old, t_old = band_aim_oracle(*args)(ks)
+    assert np.array_equal(ks_new, ks_old)
+    assert t_new.tobytes() == t_old.tobytes()
+
+
+def signed(lo, hi):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(lambda t: t[0] * t[1])
+
+
+ANGLES = st.floats(-math.pi, math.pi)
+#: window ends in 1..10**6, half of them drawn from the top down
+K_MAX = st.one_of(st.integers(1, 10**6), st.integers(0, 10**6 - 1).map(lambda x: 10**6 - x))
+
+
+@st.composite
+def band_searches(draw):
+    """`_band_aim` arguments of a random SF-3 or DF-2.1 spec, either band;
+    sign_c = b*u or xi*B takes either sign."""
+    kind = draw(st.sampled_from(sorted(BANDS)))
+    w1, eta1, eta2 = draw(st.floats(0.01, 0.99)), draw(ANGLES), draw(ANGLES)
+    if draw(st.booleans()):
+        spec = sf_spec(w_hat=w1, gamma=draw(signed(1.2, 3.0)), A=draw(st.floats(0.5, 1.5)),
+                       B=draw(st.floats(0.5, 1.5)), b=draw(signed(0.5, 1.5)),
+                       u=draw(signed(0.5, 1.5)), eta1=eta1, eta2=eta2)
+        return band_args(spec, kind)
+    spec = df_spec(w1_hat=w1, w2_hat=draw(st.floats(0.01, 0.99)), gamma=draw(st.floats(1.2, 3.0)),
+                   A=draw(st.floats(0.5, 1.5)), B=draw(st.floats(0.5, 1.5)),
+                   b=draw(st.floats(-1.5, 1.5)), u=(draw(signed(0.2, 1.5)), draw(signed(0.2, 1.5))),
+                   eta1=eta1, eta2=eta2, eta3=draw(ANGLES))
+    try:
+        return band_args(spec, kind, draw(st.floats(0.0, 1.0, exclude_max=True)))
+    except PoleError:
+        assume(False)
+
+
+@pytest.fixture
+def band_tables(monkeypatch):
+    """Every `_band_table` result built while the test runs."""
+    built = []
+    build = arithmetic._band_table
+
+    def record(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(arithmetic, "_band_table", record)
+    return built
+
+
+@settings(max_examples=30)
+@given(args=band_searches(), k_max=K_MAX)
+def test_band_aim_matches_the_full_window_oracle(args, k_max):
+    assert_aim_matches_oracle(args, np.arange(1, k_max + 1, dtype=np.int64))
+
+
+@settings(max_examples=30)
+@given(args=band_searches(), edge=st.integers(0, 3), k0=K_MAX,
+       turns=st.integers(0, 10**6), offset=st.floats(-1e-9, 1e-9))
+@example(args=band_args(sf_spec(), "cs"), edge=0, k0=999_983, turns=123_457, offset=0.0)
+def test_band_aim_at_a_band_edge(args, edge, k0, turns, offset):
+    # omega1 puts k0 within 1e-9 rad of a zero of num*s1 -+ L*den*s2 where
+    # the sign test passes, so |alpha| = L there; eta1 = eta2 would put
+    # those zeros on the zeros of s2
+    spec, lo, hi, num, den, _, sign_c, _ = args
+    e1, e2 = spec.eta1, spec.eta2
+    assume(abs(math.sin(e1 - e2)) > 0.1)
+    lim = (lo, hi)[edge // 2]
+    sl = (lim, -lim)[edge % 2]
+    a = num * math.cos(e1) - sl * den * math.cos(e2)
+    b = num * math.sin(e1) - sl * den * math.sin(e2)
+    z = -math.atan2(b, a)
+    if sign_c * math.sin(z + e2) <= 0.0:
+        z += math.pi
+    omega1 = (z + offset + TWO_PI * (turns % k0)) / k0
+    # rounding omega1 and k0*omega1 moves the phase by at most ~1e-9 more
+    assert abs((k0 * omega1 - z + math.pi) % TWO_PI - math.pi) <= 1e-8
+    args = (replace(spec, omega1=omega1), *args[1:])
+    assert_aim_matches_oracle(args, np.arange(max(1, k0 - 5000), k0 + 5001, dtype=np.int64))
+
+
+def test_band_aim_arc_across_phase_zero(band_tables):
+    # alpha(0) = 0.5 in the cs band with b*u*sin(eta2) > 0: the passing arc
+    # holds theta = 0, so it takes the first and the last phase bin
+    spec = sf_spec(w_hat=W1_IRR, A=0.5 * math.sin(1.0) / math.sin(0.7), B=1.0, b=1.0, u=1.0,
+                   eta1=0.7, eta2=1.0)
+    args = band_args(spec, "cs")
+    ks = np.arange(1, 10**5 + 1, dtype=np.int64)
+    assert_aim_matches_oracle(args, ks)
+    (table,) = band_tables
+    assert table[0] and table[-1] and not table.all()
+    phase = (band_aim_oracle(*args)(ks)[0] * W1_IRR) % 1.0
+    assert (phase < 1e-3).any() and (phase > 1.0 - 1e-3).any()
+
+
+def test_band_aim_falls_back_on_a_vanishing_edge(band_tables):
+    # eta1 = eta2 and b*u*A = lo*B make num*s1 - lo*den*s2 vanish: every k's
+    # band value sits on lo and only the float test can tell them apart
+    spec = sf_spec(A=0.3, B=1.0, b=1.0, u=1.0, eta1=1.1, eta2=1.1)
+    args = band_args(spec, "cs")
+    assert_aim_matches_oracle(args, np.arange(1, 10**5 + 1, dtype=np.int64))
+    assert band_tables == [None]
+
+
+BAND_DOCS = [DATA / f"{doc}.json" for doc in ("sf_3_0", "sf_3_1", "df_2_1_0", "df_2_1_1")]
+
+
+@pytest.mark.parametrize("kind", sorted(BANDS))
+@pytest.mark.parametrize("path", [*BAND_DOCS, PINNED / "sf3_band.json"], ids=lambda p: p.stem)
+def test_band_search_builds_its_phase_table(path, kind, band_tables):
+    # no band document of the suite or of the benchmark falls back to the
+    # full evaluation
+    spec, moduli = bf.load_spec_document(str(path))
+    try:
+        bf.search_pairs(spec, moduli, bf.classify_case(moduli, spec), kind=kind)
+    except bf.WindowExhausted:
+        pass
+    assert len(band_tables) == 1 and band_tables[0] is not None
+
+
+@settings(max_examples=30)
+@given(omega=st.floats(-10.0, 10.0), centre=st.floats(0.0, 1.0, exclude_max=True),
+       eps=st.one_of(st.floats(0.0, 0.6), st.just(math.inf)), k_max=K_MAX)
+def test_gap_within_matches_the_float_gap(omega, centre, eps, k_max):
+    ks = np.arange(1, k_max + 1, dtype=np.int64)
+    gap = arithmetic._circle_gap(ks * (omega / TWO_PI), centre)
+    assert np.array_equal(arithmetic._gap_within(ks, omega, centre, eps), ks[gap <= eps])
+
+
+@pytest.mark.parametrize("shift", [-1e-15, 0.0, 1e-15])
+@pytest.mark.parametrize("k0", [1, 77_777, 999_999])
+def test_gap_within_at_the_gap_edge(k0, shift):
+    # centre puts k0's float gap on eps
+    omega, eps = TWO_PI * W1_IRR, 1e-3
+    ks = np.arange(1, 10**6 + 1, dtype=np.int64)
+    centre = (k0 * (omega / TWO_PI) + eps + shift) % 1.0
+    gap = arithmetic._circle_gap(ks * (omega / TWO_PI), centre)
+    assert np.array_equal(arithmetic._gap_within(ks, omega, centre, eps), ks[gap <= eps])

@@ -23,7 +23,7 @@ from typing import Any
 import pytest
 
 import blenderforge as bf
-from blenderforge import cli, simple_dynamics
+from blenderforge import arithmetic, cli, simple_dynamics, unfolding
 from blenderforge.arithmetic import PairSequence
 from blenderforge.blender_certifier import BlenderCertificate, _pull_back
 from blenderforge.cycle_model import load_spec_document
@@ -259,6 +259,38 @@ def test_main_rejects_a_bad_set_entry(entry, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+#: command, document, --set overrides, the residue scan and the searches of
+#: each op: df_1_2 fails the certificate on all 8 residue ranks, and sf_1_0
+#: certifies on its fifth and then unfolds, which reads the residue too
+ONCE_CASES = {
+    "pipeline_df_1_2": ("pipeline", "df_1_2", {}, "check_A2", 8),
+    "certify_df_1_2": ("certify", "df_1_2", {}, "check_A2", 8),
+    "pipeline_sf_1_0_unfold": ("pipeline", "sf_1_0", {"unfold": "1"}, "check_A1", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONCE_CASES))
+def test_residue_witnesses_computed_once_per_op(name, monkeypatch, capsys):
+    # every rank's search, the payload and the unfolding share one list
+    command, doc, overrides, scan, searches = ONCE_CASES[name]
+    calls = {scan: 0, "search_pairs": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(arithmetic, "search_pairs", counted("search_pairs", arithmetic.search_pairs))
+    scan_fn = counted(scan, getattr(arithmetic, scan))
+    monkeypatch.setattr(arithmetic, scan, scan_fn)
+    if scan == "check_A1":
+        monkeypatch.setattr(unfolding, "check_A1", scan_fn)
+    cli.run(cli.RunConfig(command, str(DATA / f"{doc}.json"), dict(overrides)))
+    capsys.readouterr()
+    assert calls == {scan: 1, "search_pairs": searches}
 
 
 def test_cones_search_reads_min_pairs(capsys):
